@@ -144,6 +144,16 @@ class ScratchArena {
     simd::Isa KernelIsa() const { return kernel_isa_; }
     void SetKernelIsa(simd::Isa isa) { kernel_isa_ = isa; }
 
+    /**
+     * Threads a whole-input stage (FCM) may fork. Arenas are born at 1,
+     * so a per-chunk stage — already running inside an executor's
+     * parallel loop — stays on its calling thread. The executors raise it
+     * only on the arena they hand the pre-stage: the cpu executor to the
+     * resolved Options::threads, gpusim to one thread per launch worker.
+     */
+    int StageThreads() const { return stage_threads_; }
+    void SetStageThreads(int threads) { stage_threads_ = threads; }
+
  private:
     Bytes pipeline_a_;
     Bytes pipeline_b_;
@@ -157,6 +167,7 @@ class ScratchArena {
     Bytes trial_stash_;
     size_t decode_budget_ = SIZE_MAX;
     simd::Isa kernel_isa_ = simd::DefaultIsa();
+    int stage_threads_ = 1;
 #if FPC_TELEMETRY
     TelemetryShard* telemetry_ = nullptr;
 #endif

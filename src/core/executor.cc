@@ -108,24 +108,14 @@ class CpuExecutor final : public Executor {
         // pre-stage: each chunk picks its own (possibly FCM-chunked)
         // pipeline in the loop below.
         const bool adaptive = options.adaptive;
-        Bytes work;
+        std::unique_ptr<std::byte[]> work;
         ByteSpan chunk_src = input;
         if (!adaptive && spec.pre.encode != nullptr) {
             ScratchArena pre_scratch;
             pre_scratch.SetKernelIsa(ResolveIsa(options));
-            const uint64_t t0 = scope.Enabled() ? TelemetryNowNs() : 0;
-            spec.pre.encode(input, work, pre_scratch);
-            if (TelemetryShard* shard = scope.MainShard()) {
-                const uint64_t t1 = TelemetryNowNs();
-                shard->OnStageEncode(spec.pre.id, input.size(),
-                                     work.size(), t1 - t0);
-                if (shard->trace != nullptr) {
-                    shard->trace->Record(TraceSpanKind::kPre, kTraceEncode,
-                                         static_cast<uint8_t>(spec.pre.id),
-                                         0, t0, t1);
-                }
-            }
-            chunk_src = ByteSpan(work);
+            pre_scratch.SetStageThreads(threads);
+            chunk_src = EncodePreStage(spec, input, pre_scratch,
+                                       scope.MainShard(), work);
         }
 
         // Pass 1 (paper Section 3): chunks are dynamically assigned to
@@ -296,6 +286,7 @@ class CpuExecutor final : public Executor {
                          Bytes& out) {
             ScratchArena pre_scratch;
             pre_scratch.SetKernelIsa(ResolveIsa(options));
+            pre_scratch.SetStageThreads(EffectiveThreads(options));
             Telemetry* sink = SinkOf(options);
             TraceSink* trace = TraceOf(options);
             if (sink == nullptr && trace == nullptr) {

@@ -49,7 +49,8 @@ const PipelineSpec kDpRatio{
     "DPratio",
     Algorithm::kDPratio,
     8,
-    {"FCM", StageId::kFcm, tf::FcmEncode, tf::FcmDecode},
+    {"FCM", StageId::kFcm, tf::FcmEncode, tf::FcmDecode, nullptr,
+     tf::FcmEncodedSize, tf::FcmEncodeInto},
     {
         {"DIFFMS", StageId::kDiffms, tf::DiffmsEncode64, tf::DiffmsDecode64,
          tf::DiffmsDecodeInto64},

@@ -39,6 +39,14 @@ struct Stage {
      *  into the destination buffer with no intermediate copy. */
     void (*decode_into)(ByteSpan, std::span<std::byte>, ScratchArena&) =
         nullptr;
+    /** Whole-input (pre) stage only: the exact encoded size for an input
+     *  size, and an encoder that writes every byte of a span that size.
+     *  The executors hand it uninitialised memory, so the first touch of
+     *  the stage's output happens on the stage's own threads instead of
+     *  in a serial zero-fill. */
+    size_t (*encoded_size)(size_t) = nullptr;
+    void (*encode_into)(ByteSpan, std::span<std::byte>, ScratchArena&) =
+        nullptr;
 };
 
 /** The stage composition of one algorithm. */

@@ -14,8 +14,10 @@
  *    whole, and compacts survivors at offsets from a block-wide scan.
  *  - RAZE/RARE build the leading-bit histogram with (modelled) atomic
  *    increments and compact kept pieces via scans.
- *  - FCM encodes with a device sort (CUB stand-in) and decodes with the
- *    parallel union-find "find".
+ *  - FCM has no device kernel of its own: the whole-input pre-stage and
+ *    the per-chunk stage of mode=auto DP run the shared transform
+ *    (src/transforms/fcm.cc), whose hash partition stands in for the
+ *    paper's device sort and whose segmented resolve for its union-find.
  *
  * Every kernel emits the exact byte stream of its CPU counterpart in
  * src/transforms; tests/gpusim_test.cc asserts the equality.
@@ -761,15 +763,15 @@ LookupDeviceStage(const std::string& name, unsigned word_size)
                 }};
     }
     if (name == "FCM" && word_size == 8) {
-        // Per-chunk FCM of the adaptive DPratio pipeline. The device FCM
-        // transform is whole-buffer; as a chunk stage the buffer is the
-        // chunk, and its decode allocations are payload-bounded (the
-        // spec's decode_budget_factor covers its ~2x intermediate).
+        // Per-chunk FCM of the adaptive DPratio pipeline: the whole-input
+        // transform run on one chunk by the block's own thread. Its decode
+        // allocations are payload-bounded (the spec's
+        // decode_budget_factor covers its ~2x intermediate).
         return {[](ThreadBlock&, ByteSpan in, Bytes& out) {
-                    FcmEncodeDevice(in, out);
+                    tf::FcmEncode(in, out);
                 },
                 [](ThreadBlock&, ByteSpan in, Bytes& out, size_t) {
-                    FcmDecodeDevice(in, out);
+                    tf::FcmDecode(in, out);
                 }};
     }
     throw UsageError("no device kernel for stage " + name);
@@ -891,59 +893,6 @@ DecodeChunkDevice(const PipelineSpec& spec, ByteSpan payload, bool raw,
     FPC_PARSE_CHECK(cur.size() == dest.size(), "chunk size mismatch");
     std::memcpy(dest.data(), cur.data(), cur.size());
     if (shard != nullptr) ++shard->chunks_decoded;
-}
-
-// ---------------------------------------------------------------------
-// FCM on the device (whole-input pre-stage of DPratio)
-// ---------------------------------------------------------------------
-
-void
-FcmEncodeDevice(ByteSpan in, Bytes& out)
-{
-    // The device encoder computes hashes and match decisions in parallel
-    // and sorts with a device radix sort (CUB in the paper; std::sort is
-    // the deterministic stand-in — both produce the unique (hash, index)
-    // total order, so the output is identical to the CPU stage).
-    tf::FcmEncode(in, out);
-}
-
-void
-FcmDecodeDevice(ByteSpan in, Bytes& out)
-{
-    constexpr const char* kStage = "FCM";
-    ByteReader br(in, kStage);
-    const size_t orig_size = br.Get<uint64_t>();
-    const size_t n = orig_size / sizeof(uint64_t);
-    // Bound n by the actual payload first so the product below cannot wrap
-    // (mirrors the CPU FcmDecode).
-    FPC_PARSE_CHECK_AT(n <= br.Remaining() / (2 * sizeof(uint64_t)),
-                       "FCM payload size mismatch", kStage, 0);
-    FPC_PARSE_CHECK_AT(br.Remaining() == 2 * n * sizeof(uint64_t) +
-                                             orig_size % sizeof(uint64_t),
-                       "FCM payload size mismatch", kStage, 0);
-
-    std::vector<uint64_t> values = LoadWords<uint64_t>(br.GetBytes(n * 8));
-    std::vector<uint64_t> dists = LoadWords<uint64_t>(br.GetBytes(n * 8));
-
-    // Parallel union-find "find" (paper Section 3.2): every element
-    // chases its distance chain; chains are shortened as elements
-    // resolve. The emulation chases without mutation, which yields the
-    // same fixed point.
-    std::vector<uint64_t> result(n);
-    for (size_t i = 0; i < n; ++i) {
-        size_t j = i;
-        while (true) {
-            FPC_PARSE_CHECK_AT(dists[j] <= j, "FCM distance out of range",
-                               kStage,
-                               sizeof(uint64_t) +
-                                   (n + j) * sizeof(uint64_t));
-            if (dists[j] == 0) break;
-            j -= dists[j];
-        }
-        result[i] = values[j];
-    }
-    AppendBytes(out, AsBytes(result));
-    AppendBytes(out, br.Rest());
 }
 
 }  // namespace fpc::gpusim

@@ -4,7 +4,7 @@
  * (src/gpusim/device.h). Each kernel mirrors the CUDA parallelization the
  * paper describes in Section 3 — chunks map to thread blocks, MPLG
  * subchunks and BIT groups map to warps, RZE compaction uses block-wide
- * prefix sums, and the FCM decoder uses the parallel union-find "find".
+ * prefix sums. FCM runs the shared CPU transform (transforms/fcm.cc).
  *
  * The wire format is identical to the CPU path; tests assert byte
  * equality, which is the cross-device compatibility claim of the paper.
@@ -30,11 +30,6 @@ ByteSpan EncodeChunkDevice(const PipelineSpec& spec, ByteSpan chunk,
  *  bytes into the chunk's slot of the output buffer. */
 void DecodeChunkDevice(const PipelineSpec& spec, ByteSpan payload, bool raw,
                        std::span<std::byte> dest, ScratchArena& scratch);
-
-/** GPU-path FCM whole-input transform (CUB-style device sort + parallel
- *  match detection / union-find decode). */
-void FcmEncodeDevice(ByteSpan in, Bytes& out);
-void FcmDecodeDevice(ByteSpan in, Bytes& out);
 
 }  // namespace fpc::gpusim
 

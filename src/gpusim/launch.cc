@@ -116,19 +116,21 @@ DecodeChunksOn(const Device& device, Telemetry* sink, TraceSink* trace)
     };
 }
 
-/** Whole-input pre-stage hook (FCM) on the device path. */
+/** Whole-input pre-stage hook (FCM) on the device path; like the encode
+ *  side it spans the device, one thread per launch worker. */
 PreDecodeFn
 DevicePreDecode(Telemetry* sink, TraceSink* trace)
 {
     return [sink, trace](const PipelineSpec& spec, ByteSpan transformed,
                          Bytes& out) {
+        ScratchArena pre_scratch;
+        pre_scratch.SetStageThreads(static_cast<int>(MaxLaunchWorkers()));
         if (sink == nullptr && trace == nullptr) {
-            (void)spec;  // only DPratio has a pre-stage, and it is FCM
-            FcmDecodeDevice(transformed, out);
+            spec.pre.decode(transformed, out, pre_scratch);
             return;
         }
         const uint64_t t0 = TelemetryNowNs();
-        FcmDecodeDevice(transformed, out);
+        spec.pre.decode(transformed, out, pre_scratch);
         const uint64_t t1 = TelemetryNowNs();
         if (sink != nullptr) {
             TelemetryShard shard;
@@ -160,22 +162,15 @@ CompressOnDevice(const Device& device, Algorithm algorithm, ByteSpan input,
 
     // Adaptive encodes never run a whole-input pre-stage: each block
     // picks its chunk's (possibly FCM-chunked) pipeline below.
-    Bytes work;
+    std::unique_ptr<std::byte[]> work;
     ByteSpan chunk_src = input;
     if (!adaptive && spec.pre.encode != nullptr) {
-        const uint64_t t0 = scope.Enabled() ? TelemetryNowNs() : 0;
-        FcmEncodeDevice(input, work);
-        if (TelemetryShard* shard = scope.MainShard()) {
-            const uint64_t t1 = TelemetryNowNs();
-            shard->OnStageEncode(spec.pre.id, input.size(), work.size(),
-                                 t1 - t0);
-            if (shard->trace != nullptr) {
-                shard->trace->Record(TraceSpanKind::kPre, kTraceEncode,
-                                     static_cast<uint8_t>(spec.pre.id), 0,
-                                     t0, t1);
-            }
-        }
-        chunk_src = ByteSpan(work);
+        // The whole-input stage spans the device: one thread per worker
+        // that models an SM.
+        ScratchArena pre_scratch;
+        pre_scratch.SetStageThreads(static_cast<int>(MaxLaunchWorkers()));
+        chunk_src = EncodePreStage(spec, input, pre_scratch,
+                                   scope.MainShard(), work);
     }
 
     const size_t n_chunks = ChunkCountOf(chunk_src.size());

@@ -64,9 +64,17 @@ void RzeDecode(ByteSpan in, Bytes& out, ScratchArena& scratch);
 
 // ---- FCM: finite context method (whole-input stage of DPratio) ----
 // Whole-input, not per-chunk: runs once per Compress/Decompress, so it is
-// exempt from the zero-allocation rule and ignores the arena.
+// exempt from the zero-allocation rule. It takes only the kernel ISA and
+// the thread count (StageThreads) from the arena; the output bytes do not
+// depend on the thread count.
 void FcmEncode(ByteSpan in, Bytes& out, ScratchArena& scratch);
 void FcmDecode(ByteSpan in, Bytes& out, ScratchArena& scratch);
+/** Exact FcmEncode output size for an input of @p in_size bytes. */
+size_t FcmEncodedSize(size_t in_size);
+/** FcmEncode into exactly FcmEncodedSize(in.size()) bytes, writing every
+ *  one of them, so @p out may be uninitialised memory. */
+void FcmEncodeInto(ByteSpan in, std::span<std::byte> out,
+                   ScratchArena& scratch);
 
 // ---- RAZE: repeated adaptive zero elimination (64-bit words) ----
 void RazeEncode64(ByteSpan in, Bytes& out, ScratchArena& scratch);

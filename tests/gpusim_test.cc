@@ -198,6 +198,23 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithms, CrossDevice,
                                  AlgorithmName(kAll[info.param]));
                          });
 
+// Constant input gives every value a distance-1 match, so each FCM chain
+// runs back to index 0: a decoder that chases chains per element is
+// quadratic here, while the shared O(n) resolver takes milliseconds.
+TEST(CrossDevice, DpRatioConstantMegaValuesRoundTrip)
+{
+    const std::vector<double> values(size_t{1} << 20, 2.5);
+    Bytes input(values.size() * sizeof(double));
+    std::memcpy(input.data(), values.data(), input.size());
+    Options cpu;
+    cpu.with_executor("cpu");
+    Options gpu;
+    gpu.with_executor("gpusim:4090");
+    const Bytes from_gpu = Compress(Algorithm::kDPratio, ByteSpan(input), gpu);
+    EXPECT_EQ(from_gpu, Compress(Algorithm::kDPratio, ByteSpan(input), cpu));
+    EXPECT_EQ(Decompress(ByteSpan(from_gpu), gpu), input);
+}
+
 TEST(Device, LaunchRunsEveryBlock)
 {
     Device device(Rtx4090Profile());

@@ -7,6 +7,8 @@
  */
 #include <gtest/gtest.h>
 
+#include "core/codec.h"
+#include "data/fields.h"
 #include "transforms/adaptive_k.h"
 #include "transforms/bitmap_codec.h"
 #include "transforms/transforms.h"
@@ -397,6 +399,163 @@ TEST(Fcm, RejectsCorruptDistances)
     std::memcpy(coded.data() + 8 + input.size(), &bad, 8);
     Bytes output;
     EXPECT_THROW(FcmDecode(ByteSpan(coded), output), CorruptStreamError);
+}
+
+// ---- FCM across thread counts ----
+
+// The serial chained-table encoder the partitioned one replaced, kept as
+// the reference: FcmEncode's bytes must not depend on the thread count.
+Bytes
+SerialFcmEncode(ByteSpan in)
+{
+    const size_t n = in.size() / 8;
+    std::vector<uint64_t> values = LoadWords<uint64_t>(in);
+    std::vector<uint64_t> hashes(n);
+    for (size_t i = 0; i < n; ++i) {
+        hashes[i] = FcmContextHash(i >= 1 ? values[i - 1] : 0,
+                                   i >= 2 ? values[i - 2] : 0,
+                                   i >= 3 ? values[i - 3] : 0);
+    }
+    constexpr uint32_t kNil = 0xffffffffu;
+    size_t cap = 16;
+    while (cap < 2 * n) cap *= 2;
+    std::vector<uint32_t> heads(cap, kNil);
+    std::vector<uint32_t> link(n);
+    std::vector<uint64_t> out_values(n), out_dists(n);
+    for (size_t i = 0; i < n; ++i) {
+        const size_t slot = static_cast<size_t>(hashes[i]) & (cap - 1);
+        size_t probes = 0;
+        out_values[i] = values[i];
+        for (uint32_t j = heads[slot]; j != kNil; j = link[j]) {
+            if (hashes[j] != hashes[i]) continue;
+            if (values[j] == values[i]) {
+                out_values[i] = 0;
+                out_dists[i] = i - j;
+                break;
+            }
+            if (++probes == 4) break;
+        }
+        link[i] = heads[slot];
+        heads[slot] = static_cast<uint32_t>(i);
+    }
+    const uint64_t size = in.size();
+    Bytes out(sizeof(size));
+    std::memcpy(out.data(), &size, sizeof(size));
+    AppendBytes(out, AsBytes(out_values));
+    AppendBytes(out, AsBytes(out_dists));
+    AppendBytes(out, in.subspan(n * 8));
+    return out;
+}
+
+/** @p words 64-bit words of one kind plus @p tail random trailing bytes. */
+Bytes
+FcmInput(const std::string& kind, size_t words, size_t tail, uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<double> v(words);
+    if (kind == "constant") {
+        std::fill(v.begin(), v.end(), 2.5);
+    } else if (kind == "periodic") {
+        // Period 1000: every match is 1000 back, so matches cross segment
+        // and partition boundaries.
+        for (size_t i = 0; i < words; ++i) v[i] = std::sin(0.001 * (i % 1000));
+    } else if (kind == "repeat16") {
+        std::vector<double> pool(16);
+        for (double& p : pool) p = rng.NextGaussian();
+        for (double& x : v) x = pool[rng.NextBelow(pool.size())];
+    } else if (kind == "random") {
+        for (double& x : v) x = BitCastTo<double>(rng.Next());
+    } else {  // "field": a smooth DP field, as the checkpoint bench uses
+        v = data::SmoothField(words, seed, 3, 1e-7);
+    }
+    Bytes out(words * 8 + tail);
+    if (words > 0) std::memcpy(out.data(), v.data(), words * 8);
+    for (size_t i = words * 8; i < out.size(); ++i) {
+        out[i] = static_cast<std::byte>(rng.Next() & 0xff);
+    }
+    return out;
+}
+
+TEST(FcmThreads, EncodeMatchesSerialOracleAtEveryThreadCount)
+{
+    // Sizes span the degenerate heads (no context yet), one partition,
+    // several partitions on one thread, 16 partitions on up to seven
+    // threads, and 2 Mi words (64 partitions). The tails cover 0-7 bytes.
+    const size_t kSizes[] = {0,     1,      2,       3,      4,
+                             100,   40000,  300001,  (size_t{2} << 20) + 5};
+    size_t tail = 0;
+    for (const char* kind :
+         {"constant", "periodic", "repeat16", "random", "field"}) {
+        for (size_t words : kSizes) {
+            tail = (tail + 3) % 8;
+            const Bytes input = FcmInput(kind, words, tail, words + tail);
+            const Bytes expected = SerialFcmEncode(ByteSpan(input));
+            for (int threads : {1, 2, 3, 4, 7}) {
+                SCOPED_TRACE(std::string(kind) + " words=" +
+                             std::to_string(words) + " tail=" +
+                             std::to_string(tail) + " threads=" +
+                             std::to_string(threads));
+                ScratchArena scratch;
+                scratch.SetStageThreads(threads);
+                Bytes coded;
+                FcmEncode(ByteSpan(input), coded, scratch);
+                ASSERT_EQ(coded, expected);
+                Bytes decoded;
+                FcmDecode(ByteSpan(coded), decoded, scratch);
+                ASSERT_EQ(decoded, input);
+            }
+        }
+    }
+}
+
+TEST(FcmThreads, DpRatioContainerIdenticalAcrossThreadCounts)
+{
+    const Bytes input = FcmInput("repeat16", size_t{1} << 20, 5, 42);
+    Options one;
+    one.with_threads(1);
+    const Bytes serial = Compress(Algorithm::kDPratio, ByteSpan(input), one);
+    EXPECT_EQ(Compress(Algorithm::kDPratio, ByteSpan(input), Options{}),
+              serial);
+    EXPECT_EQ(Decompress(ByteSpan(serial), Options{}), input);
+}
+
+// The parallel decoder must report the bad distance a serial in-order
+// decode meets first, wherever the threads' segments fall.
+TEST(Fcm, RejectsCorruptDistancesInFirstMiddleAndLastSegment)
+{
+    const size_t n = size_t{1} << 18;  // four 64 Ki-word segments
+    const Bytes input = FcmInput("field", n, 3, 7);
+    Bytes coded;
+    FcmEncode(ByteSpan(input), coded);
+    const auto offset_of = [n](size_t i) { return 8 + (n + i) * 8; };
+    const auto corrupt = [&](std::initializer_list<size_t> indices) {
+        Bytes bad = coded;
+        for (size_t i : indices) {
+            const uint64_t dist = i + 1;  // points before index 0
+            std::memcpy(bad.data() + offset_of(i), &dist, 8);
+        }
+        return bad;
+    };
+    for (int threads : {1, 4, 7}) {
+        ScratchArena scratch;
+        scratch.SetStageThreads(threads);
+        for (const auto& [bad, lowest] :
+             {std::pair{corrupt({5}), size_t{5}},
+              std::pair{corrupt({n / 2 + 9}), n / 2 + 9},
+              std::pair{corrupt({n - 2}), n - 2},
+              std::pair{corrupt({n - 2, n / 2 + 9}), n / 2 + 9},
+              std::pair{corrupt({n - 2, n / 2 + 9, 5}), size_t{5}}}) {
+            Bytes output;
+            try {
+                FcmDecode(ByteSpan(bad), output, scratch);
+                ADD_FAILURE() << "no error, threads=" << threads;
+            } catch (const CorruptStreamError& e) {
+                EXPECT_STREQ(e.Stage(), "FCM");
+                EXPECT_EQ(e.Offset(), offset_of(lowest))
+                    << "threads=" << threads;
+            }
+        }
+    }
 }
 
 // ---- Paper Figure 7: RAZE/RARE adaptive split ----

@@ -74,20 +74,6 @@ Fingerprint(const BenchConfig& config)
     return hex;
 }
 
-void
-AppendDigest(std::string& out, const char* key,
-             const LatencyHistogram& hist, bool last)
-{
-    char buf[192];
-    std::snprintf(buf, sizeof(buf),
-                  "\"%s\": {\"count\": %" PRIu64 ", \"p50_ns\": %" PRIu64
-                  ", \"p95_ns\": %" PRIu64 ", \"p99_ns\": %" PRIu64
-                  ", \"max_ns\": %" PRIu64 "}%s",
-                  key, hist.count, hist.P50(), hist.P95(), hist.P99(),
-                  hist.max_ns, last ? "" : ", ");
-    out += buf;
-}
-
 }  // namespace
 
 int

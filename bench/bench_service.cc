@@ -11,7 +11,8 @@
  *  - the flooding tenant runs a tight submit loop (alternating compress
  *    and decompress) for the whole compress phase under an in-flight
  *    cap, so most of its submissions bounce with ServiceBusy while the
- *    accepted ones keep every worker busy.
+ *    accepted ones keep every worker busy; it polls its open requests
+ *    between submissions and records their latency the same way.
  *
  * The run fails (exit 1) when the scheduler misbehaves: a polite tenant
  * rejected or failed, the flooder never throttled, or a direction of
@@ -34,7 +35,7 @@
  *       (blocking calls, so WINDOW and WORKERS describe the daemon, not
  *       this process). Socket mode runs no flooder — a blocking client
  *       cannot oversubscribe a remote queue — and skips the in-process
- *       telemetry cross-check (the daemon owns the registry); kBusy
+ *       registry cross-check (the daemon owns the registry); kBusy
  *       replies count as rejections and still fail the run. This is the
  *       load half of the ci_matrix.sh metrics-reconcile leg.
  */
@@ -51,6 +52,7 @@
 
 #include "core/codec.h"
 #include "core/errc.h"
+#include "core/metrics.h"
 #include "core/telemetry.h"
 #include "figure_common.h"
 #include "service/client.h"
@@ -112,18 +114,25 @@ Seconds(Clock::time_point a, Clock::time_point b)
     return std::chrono::duration<double>(b - a).count();
 }
 
-void
-AppendDigest(std::string& out, const char* key,
-             const LatencyHistogram& hist, bool last)
+/** The flood tenant's admission rejects, summed over every reason, as
+ *  the process-wide registry counts them (fpc_service_rejected_total). */
+uint64_t
+FloodRejected()
 {
-    char buf[192];
-    std::snprintf(buf, sizeof(buf),
-                  "\"%s\": {\"count\": %" PRIu64 ", \"p50_ns\": %" PRIu64
-                  ", \"p95_ns\": %" PRIu64 ", \"p99_ns\": %" PRIu64
-                  ", \"max_ns\": %" PRIu64 "}%s",
-                  key, hist.count, hist.P50(), hist.P95(), hist.P99(),
-                  hist.max_ns, last ? "" : ", ");
-    out += buf;
+    uint64_t total = 0;
+    for (const auto reason :
+         {ServiceBusy::Reason::kQueueFull, ServiceBusy::Reason::kInFlight,
+          ServiceBusy::Reason::kThrottled}) {
+        total += MetricsRegistry::Global()
+                     .GetCounter(
+                         "fpc_service_rejected_total",
+                         "Requests rejected at admission by tenant and "
+                         "reason.",
+                         {{"tenant", "flood"},
+                          {"reason", ServiceBusyReasonName(reason)}})
+                     ->Value();
+    }
+    return total;
 }
 
 /** What one polite tenant measured across both phases. */
@@ -244,6 +253,10 @@ main(int argc, char** argv)
                 static_cast<uint32_t>(config.workers);
             owned_service->SetTenantQos("flood", flood_qos);
         }
+        // The registry is process-wide, so the cross-check below works
+        // on deltas.
+        const uint64_t flood_rejected_before =
+            socket_mode ? 0 : FloodRejected();
         Service* service_ptr = owned_service.get();
 
         const size_t payload_bytes = config.values * sizeof(float);
@@ -281,28 +294,45 @@ main(int argc, char** argv)
             const ServiceRequest decomp = MakeRequest(
                 ServiceVerb::kDecompress, "flood", flood_container,
                 config.backend);
-            std::vector<std::pair<std::future<ServiceResponse>, bool>>
-                open;
+            struct FloodRequest {
+                std::future<ServiceResponse> future;
+                Clock::time_point submitted;
+                bool is_compress;
+            };
+            std::vector<FloodRequest> open;
+            const auto settle = [&](FloodRequest& entry) {
+                const ServiceResponse response = entry.future.get();
+                flood_latency.Record(static_cast<uint64_t>(
+                    Seconds(entry.submitted, Clock::now()) * 1e9));
+                if (response.status != Errc::kOk) ++flood_failed;
+                else if (entry.is_compress) ++flood_compress_ok;
+                else ++flood_decompress_ok;
+            };
             const Clock::time_point t0 = Clock::now();
             uint64_t i = 0;
             while (!flood_stop.load(std::memory_order_relaxed)) {
+                // The in-flight cap keeps `open` at about one request
+                // per worker, so this sweep stays short.
+                std::erase_if(open, [&](FloodRequest& entry) {
+                    if (entry.future.wait_for(std::chrono::seconds(0)) !=
+                        std::future_status::ready) {
+                        return false;
+                    }
+                    settle(entry);
+                    return true;
+                });
                 const bool is_compress = (i++ % 2) == 0;
                 try {
                     ServiceRequest request = is_compress ? comp : decomp;
-                    open.emplace_back(
-                        service_ptr->Submit(std::move(request)),
-                        is_compress);
+                    const Clock::time_point submitted = Clock::now();
+                    open.push_back({service_ptr->Submit(std::move(request)),
+                                    submitted, is_compress});
                 } catch (const ServiceBusy&) {
                     ++flood_rejected;
                     std::this_thread::yield();
                 }
             }
-            for (auto& [future, is_compress] : open) {
-                const ServiceResponse response = future.get();
-                if (response.status != Errc::kOk) ++flood_failed;
-                else if (is_compress) ++flood_compress_ok;
-                else ++flood_decompress_ok;
-            }
+            for (FloodRequest& entry : open) settle(entry);
             flood_s = Seconds(t0, Clock::now());
         });
 
@@ -391,24 +421,22 @@ main(int argc, char** argv)
         }
         if (!sane) return 1;
 
-        // Cross-check the scheduler's own accounting when the hooks are
-        // compiled in: the v6 service block must agree with what the
-        // load threads observed. Socket mode has no in-process scheduler
-        // to ask — the daemon's accounting is reconciled externally
-        // (ci_matrix.sh scrapes /metrics against the --stats-file dump).
-        if (!socket_mode && kTelemetryEnabled) {
-            const TelemetrySnapshot snap =
-                service_ptr->telemetry().Snapshot();
-            const auto flood_it = snap.tenants.find("flood");
-            if (flood_it == snap.tenants.end() ||
-                flood_it->second.rejected != flood_rejected ||
-                snap.tenants.size() != config.tenants + 1) {
-                std::fprintf(stderr, "bench_service: telemetry service "
-                                     "block disagrees with the load "
-                                     "generator\n");
+        // Cross-check the scheduler's own accounting: the registry's
+        // flood rejects must equal the ServiceBusy throws the flooder
+        // saw. Socket mode has no in-process scheduler to ask — the
+        // daemon's accounting is reconciled externally (ci_matrix.sh
+        // scrapes /metrics against this report's request counts).
+        if (!socket_mode) {
+            const uint64_t registry_rejected =
+                FloodRejected() - flood_rejected_before;
+            if (registry_rejected != flood_rejected) {
+                std::fprintf(stderr,
+                             "bench_service: registry counts %" PRIu64
+                             " flood rejects, the load generator saw "
+                             "%zu\n",
+                             registry_rejected, flood_rejected);
                 return 1;
             }
-            flood_latency = flood_it->second.latency;
         }
 
         std::string out;

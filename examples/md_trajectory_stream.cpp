@@ -65,7 +65,7 @@ main()
     std::printf("consumer verified all %d frames bit-for-bit\n", frame);
 
     // Producer-side per-stage metrics accumulated across all frames
-    // (schema fpc.telemetry.v1 — see DESIGN.md "Observability").
+    // (schema fpc::kTelemetrySchema — see DESIGN.md "Observability").
     std::printf("%s\n", fpc::ToJson(stream.stats()).c_str());
     return 0;
 }

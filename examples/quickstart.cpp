@@ -45,7 +45,7 @@ main()
         }
 
         // Per-stage metrics for the round trip, one JSON line
-        // (schema fpc.telemetry.v1 — see DESIGN.md "Observability").
+        // (schema fpc::kTelemetrySchema — see DESIGN.md "Observability").
         std::printf("%s\n", stats.ToJson().c_str());
     }
     std::printf("round-trips verified bit-for-bit\n");

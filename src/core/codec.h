@@ -87,7 +87,9 @@ std::vector<T>
 RangeToVector(Bytes&& raw)
 {
     std::vector<T> values(raw.size() / sizeof(T));
-    std::memcpy(values.data(), raw.data(), raw.size());
+    // An empty range has null data pointers; memcpy from null is UB even
+    // for zero bytes.
+    if (!raw.empty()) std::memcpy(values.data(), raw.data(), raw.size());
     return values;
 }
 }  // namespace detail

@@ -253,11 +253,6 @@ Service::Submit(ServiceRequest request)
             if (reason == ServiceBusy::Reason::kThrottled) {
                 throttle_events_->Inc();
             }
-            if (kTelemetryEnabled) {
-                TenantStats delta;
-                delta.rejected = 1;
-                sink_->AddTenant(tenant, delta);
-            }
             if (LogEnabled(LogLevel::kDebug)) {
                 const LogField fields[] = {
                     LogStr("request_id", request.request_id),
@@ -509,16 +504,6 @@ Service::RecordOutcome(const ServiceRequest& request,
         Log(level, "request", fields);
     }
 
-    if (kTelemetryEnabled) {
-        TenantStats delta;
-        delta.requests = 1;
-        delta.failed = response.status == Errc::kOk ? 0 : 1;
-        delta.bytes_in = request.payload.size();
-        delta.bytes_out = response.payload.size();
-        delta.queue_ns = queue_ns;
-        delta.latency.Record(total_ns);
-        sink_->AddTenant(request.tenant, delta);
-    }
     if (config_.trace != nullptr && kTelemetryEnabled) {
         const uint8_t dir = request.verb == ServiceVerb::kCompress
                                 ? kTraceEncode

@@ -30,15 +30,15 @@
  *    points over the same Executor registry, so service output is
  *    byte-identical to library output on every algorithm x backend.
  *
- * Telemetry: per-tenant counters and whole-request latency histograms
- * merge into the service's Telemetry sink and export in the
- * "fpc.telemetry.v6" service block; a TraceSink (ServiceConfig::trace)
- * additionally records one span per request. The scheduler also feeds
- * the live metrics registry (core/metrics.h): admission / rejection /
- * completion counters per tenant and status, queue-depth and in-flight
- * gauges, queue-wait and end-to-end latency histograms — all scrapable
- * via the daemon's /metrics endpoint while requests are in flight.
- * Each completed request additionally emits one structured log line
+ * Observability: the live metrics registry (core/metrics.h) is the one
+ * record of per-tenant service facts — completions by tenant, verb and
+ * status, rejects by reason, bytes in and out, queue-depth and in-flight
+ * gauges, queue-wait and end-to-end latency histograms — updated in
+ * every build and scrapable via the daemon's /metrics endpoint while
+ * requests are in flight. The Telemetry sink collects the per-stage data
+ * of the library runs the workers make; a TraceSink
+ * (ServiceConfig::trace) additionally records one span per request.
+ * Each completed request also emits one structured log line
  * (core/log.h, level info) carrying the request id.
  */
 #ifndef FPC_SERVICE_SERVICE_H
@@ -140,8 +140,8 @@ struct ServiceConfig {
     int request_threads = 1;
     /** QoS applied to tenants without an explicit SetTenantQos call. */
     TenantQos default_qos;
-    /** External metrics sink; null = the service owns one (telemetry()
-     *  returns it either way). */
+    /** External per-run stage telemetry sink; null = the service owns
+     *  one (telemetry() returns it either way). */
     Telemetry* telemetry = nullptr;
     /** Per-request span tracer; null = no spans. */
     TraceSink* trace = nullptr;
@@ -200,7 +200,8 @@ class Service {
      *  Idempotent. */
     void Stop();
 
-    /** The metrics sink service runs report into (owned or external). */
+    /** The stage-telemetry sink request runs report into (owned or
+     *  external). */
     Telemetry& telemetry();
 
     /** The shared scratch pool (diagnostics: Leases()/Created()). */

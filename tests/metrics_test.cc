@@ -3,7 +3,8 @@
  * Live-metrics registry coverage (core/metrics.h): handle identity,
  * counter/gauge/histogram semantics, the Prometheus text exposition
  * (schema marker, one HELP/TYPE per family, no duplicate samples,
- * cumulative `le` buckets, +Inf == _count), snapshot monotonicity, the
+ * cumulative `le` buckets, +Inf == _count), the histogram snapshot as
+ * the shared LatencyHistogram value, scrape monotonicity, the
  * thread-slot supply (slot reuse past kMetricSlots stays exact), and a
  * writers-vs-scraper hammer for the tsan leg (ctest -L thread).
  *
@@ -93,22 +94,32 @@ TEST(MetricsRegistry, GaugeGoesNegative)
     EXPECT_EQ(gauge->Value(), 0);
 }
 
-TEST(MetricsRegistry, HistogramBucketSumsEqualCount)
+TEST(MetricsRegistry, HistogramSnapshotIsTheSharedLatencyHistogram)
 {
     MetricsRegistry registry;
     Histogram* hist = registry.GetHistogram("fpc_h_ns", "help");
+    LatencyHistogram local;
     const uint64_t samples[] = {0, 1, 2, 1000, 1024, 123456, 999999999};
     uint64_t sum = 0;
     for (const uint64_t ns : samples) {
         hist->Record(ns);
+        local.Record(ns);
         sum += ns;
     }
-    EXPECT_EQ(hist->Count(), std::size(samples));
+    const LatencyHistogram snap = hist->Snapshot();
+    EXPECT_EQ(snap.count, std::size(samples));
     EXPECT_EQ(hist->SumNs(), sum);
-    EXPECT_EQ(hist->MaxNs(), uint64_t{999999999});
+    EXPECT_EQ(snap.max_ns, uint64_t{999999999});
     uint64_t bucket_total = 0;
-    for (const uint64_t count : hist->BucketCounts()) bucket_total += count;
-    EXPECT_EQ(bucket_total, hist->Count());
+    for (const uint64_t count : snap.buckets) bucket_total += count;
+    EXPECT_EQ(bucket_total, snap.count);
+    // Same samples, same value: the live histogram and a plain
+    // LatencyHistogram bucket identically and agree on every quantile.
+    EXPECT_EQ(snap.buckets, local.buckets);
+    EXPECT_EQ(snap.count, local.count);
+    EXPECT_EQ(snap.max_ns, local.max_ns);
+    EXPECT_EQ(snap.P50(), local.P50());
+    EXPECT_EQ(snap.P99(), local.P99());
 }
 
 TEST(MetricsRegistry, ExpositionShapeAndHistogramInvariants)
@@ -161,29 +172,29 @@ TEST(MetricsRegistry, ExpositionShapeAndHistogramInvariants)
     EXPECT_EQ(previous, 3);
 }
 
-TEST(MetricsRegistry, CountersMonotoneAcrossSnapshots)
+TEST(MetricsRegistry, CountersMonotoneAcrossScrapes)
 {
     MetricsRegistry registry;
     Counter* counter = registry.GetCounter("fpc_mono_total", "help");
     Histogram* hist = registry.GetHistogram("fpc_mono_ns", "help");
 
-    std::map<std::string, uint64_t> before_counters, after_counters;
-    std::map<std::string, int64_t> gauges;
     counter->Inc(7);
     hist->Record(100);
-    registry.SnapshotInto(before_counters, gauges);
+    const std::map<std::string, int64_t> before =
+        ParseSamples(registry.Exposition());
     counter->Inc(2);
     hist->Record(200);
-    registry.SnapshotInto(after_counters, gauges);
+    const std::map<std::string, int64_t> after =
+        ParseSamples(registry.Exposition());
 
-    ASSERT_EQ(before_counters.size(), after_counters.size());
-    for (const auto& [name, value] : before_counters) {
-        ASSERT_TRUE(after_counters.count(name)) << name;
-        EXPECT_GE(after_counters.at(name), value) << name;
+    ASSERT_EQ(before.size(), after.size());
+    for (const auto& [name, value] : before) {
+        ASSERT_TRUE(after.count(name)) << name;
+        EXPECT_GE(after.at(name), value) << name;
     }
-    EXPECT_EQ(after_counters.at("fpc_mono_total"), 9u);
-    EXPECT_EQ(after_counters.at("fpc_mono_ns_count"), 2u);
-    EXPECT_EQ(after_counters.at("fpc_mono_ns_sum"), 300u);
+    EXPECT_EQ(after.at("fpc_mono_total"), 9);
+    EXPECT_EQ(after.at("fpc_mono_ns_count"), 2);
+    EXPECT_EQ(after.at("fpc_mono_ns_sum"), 300);
 }
 
 TEST(MetricsRegistry, SlotReusePastSupplyStaysExact)
@@ -219,7 +230,8 @@ TEST(MetricsRegistry, OverflowSlotKeepsConcurrentWritersExact)
 }
 
 /** Writers hammering all three metric kinds while a scraper loops over
- *  Exposition() and SnapshotInto() — the race the tsan leg watches. */
+ *  Exposition() and Histogram::Snapshot() — the race the tsan leg
+ *  watches. */
 TEST(MetricsRegistry, ConcurrentWritersAndScraper)
 {
     MetricsRegistry registry;
@@ -234,9 +246,8 @@ TEST(MetricsRegistry, ConcurrentWritersAndScraper)
         while (!stop.load(std::memory_order_relaxed)) {
             const std::string exposition = registry.Exposition();
             EXPECT_EQ(exposition.rfind("# fpc.metrics.v1\n", 0), 0u);
-            std::map<std::string, uint64_t> counters;
-            std::map<std::string, int64_t> gauges;
-            registry.SnapshotInto(counters, gauges);
+            const LatencyHistogram snap = hist->Snapshot();
+            EXPECT_LE(snap.P50(), snap.max_ns);
         }
     });
     std::vector<std::thread> writers;
@@ -256,7 +267,7 @@ TEST(MetricsRegistry, ConcurrentWritersAndScraper)
 
     EXPECT_EQ(counter->Value(), kWriters * kRounds);
     EXPECT_EQ(gauge->Value(), 0);
-    EXPECT_EQ(hist->Count(), kWriters * kRounds);
+    EXPECT_EQ(hist->Snapshot().count, kWriters * kRounds);
 }
 
 TEST(MetricsRegistry, LabelValuesAreEscaped)

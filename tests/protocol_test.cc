@@ -18,6 +18,7 @@
 
 #include "core/codec.h"
 #include "core/errc.h"
+#include "core/telemetry.h"
 #include "service/client.h"
 #include "service/protocol.h"
 #include "service/server.h"
@@ -327,11 +328,11 @@ TEST(ProtocolTest, StatsAndShutdownVerbsWorkOverTheWire)
     const std::string json(
         reinterpret_cast<const char*>(report.payload.data()),
         report.payload.size());
-    EXPECT_EQ(json.rfind("{\"schema\": \"fpc.telemetry.v6\"", 0), 0u);
-    if (kTelemetryEnabled) {
-        EXPECT_NE(json.find("\"service\": {\"tenants\": {\"ops\""),
-                  std::string::npos);
-    }
+    EXPECT_EQ(
+        json.rfind(std::string("{\"schema\": \"") + kTelemetrySchema, 0),
+        0u);
+    // Per-tenant facts are served by the metrics verb, not by STATS.
+    EXPECT_EQ(json.find("\"service\""), std::string::npos);
 
     ServiceRequest shutdown;
     shutdown.verb = ServiceVerb::kShutdown;
@@ -381,11 +382,10 @@ TEST(ProtocolTest, AdminVerbsAnswerOverTheWire)
     const ServiceResponse exposition = client.Call(metrics);
     ASSERT_EQ(exposition.status, Errc::kOk);
     EXPECT_EQ(text(exposition).rfind("# fpc.metrics.v1\n", 0), 0u);
-    if (kTelemetryEnabled) {
-        EXPECT_NE(text(exposition).find(
-                      "fpc_service_requests_total{tenant=\"ops\""),
-                  std::string::npos);
-    }
+    // The scheduler feeds the registry in every build, telemetry-off too.
+    EXPECT_NE(text(exposition).find(
+                  "fpc_service_requests_total{tenant=\"ops\""),
+              std::string::npos);
 
     ServiceRequest health;
     health.verb = ServiceVerb::kHealth;

@@ -4,19 +4,20 @@
  * between the service path and the library path on every algorithm x
  * mode x backend, typed backpressure (queue, in-flight cap, token
  * bucket), round-robin fairness under a flooding tenant, arena-pool
- * reuse, per-tenant telemetry, and the shared Errc mapping.
+ * reuse, per-tenant live metrics, and the shared Errc mapping.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <future>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/codec.h"
 #include "core/errc.h"
 #include "core/executor.h"
 #include "core/metrics.h"
-#include "core/telemetry.h"
 #include "service/service.h"
 
 namespace fpc {
@@ -39,13 +40,12 @@ MakePayload(size_t values = 50000, unsigned seed = 1)
 
 ServiceConfig
 MakeConfig(int workers, size_t queue_capacity = 256,
-           bool start_paused = false, Telemetry* telemetry = nullptr)
+           bool start_paused = false)
 {
     ServiceConfig config;
     config.workers = workers;
     config.queue_capacity = queue_capacity;
     config.start_paused = start_paused;
-    config.telemetry = telemetry;
     return config;
 }
 
@@ -62,6 +62,52 @@ CompressRequest(const Bytes& payload, Algorithm algorithm,
     request.executor = executor;
     request.payload = payload;
     return request;
+}
+
+/** One tenant's service facts as the process-wide registry holds them:
+ *  the sums of its tenant-labelled fpc_service_* samples. The registry
+ *  outlives every Service in this binary, so tests compare deltas. */
+struct TenantFacts {
+    uint64_t ok = 0;        ///< completed, status ok (any verb)
+    uint64_t failed = 0;    ///< completed, any other status
+    uint64_t rejected = 0;  ///< admission rejects, any reason
+    uint64_t bytes_in = 0;
+    uint64_t bytes_out = 0;
+
+    TenantFacts
+    operator-(const TenantFacts& before) const
+    {
+        return {ok - before.ok, failed - before.failed,
+                rejected - before.rejected, bytes_in - before.bytes_in,
+                bytes_out - before.bytes_out};
+    }
+};
+
+TenantFacts
+ScrapeTenant(const std::string& tenant)
+{
+    TenantFacts facts;
+    const std::string label = "tenant=\"" + tenant + "\"";
+    std::istringstream in(MetricsRegistry::Global().Exposition());
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty() || line[0] == '#' ||
+            line.find(label) == std::string::npos) {
+            continue;
+        }
+        const uint64_t value = std::stoull(line.substr(line.rfind(' ') + 1));
+        if (line.rfind("fpc_service_requests_total{", 0) == 0) {
+            const bool ok = line.find("status=\"ok\"") != std::string::npos;
+            (ok ? facts.ok : facts.failed) += value;
+        } else if (line.rfind("fpc_service_rejected_total{", 0) == 0) {
+            facts.rejected += value;
+        } else if (line.rfind("fpc_service_bytes_total{", 0) == 0) {
+            const bool in_dir =
+                line.find("direction=\"in\"") != std::string::npos;
+            (in_dir ? facts.bytes_in : facts.bytes_out) += value;
+        }
+    }
+    return facts;
 }
 
 TEST(ServiceTest, ByteIdenticalToLibraryOnEveryAlgorithmAndBackend)
@@ -250,9 +296,8 @@ TEST(ServiceTest, TokenBucketThrottlesByPayloadBytes)
 
 TEST(ServiceTest, RoundRobinKeepsFloodedTenantFromStarvingAnother)
 {
-    if (!kTelemetryEnabled) {
-        GTEST_SKIP() << "per-tenant counters need FPC_TELEMETRY=1";
-    }
+    const TenantFacts a_before = ScrapeTenant("A");
+    const TenantFacts b_before = ScrapeTenant("B");
     // One worker, paused: stage a 30-deep flood from A, then 5 requests
     // from B. Round-robin dispatch alternates A,B,A,B..., so B's last
     // request completes while A still holds most of its backlog. The
@@ -276,11 +321,12 @@ TEST(ServiceTest, RoundRobinKeepsFloodedTenantFromStarvingAnother)
         EXPECT_EQ(future.get().status, Errc::kOk);
     }
     // B is done; under strict alternation A has executed ~5-6 of 30.
-    // Allow slack for the worker racing ahead between .get() calls.
-    const TelemetrySnapshot snap = service.telemetry().Snapshot();
-    ASSERT_EQ(snap.tenants.at("B").requests, 5u);
-    EXPECT_LE(snap.tenants.at("A").requests, 15u)
-        << "flooding tenant starved the polite tenant";
+    // Allow slack for the worker racing ahead between .get() calls. A
+    // request's counters are bumped before its future is fulfilled. A
+    // is read first: it is the count the running worker still moves.
+    const TenantFacts a = ScrapeTenant("A") - a_before;
+    ASSERT_EQ((ScrapeTenant("B") - b_before).ok, 5u);
+    EXPECT_LE(a.ok, 15u) << "flooding tenant starved the polite tenant";
     for (auto& future : flood) {
         EXPECT_EQ(future.get().status, Errc::kOk);
     }
@@ -302,15 +348,19 @@ TEST(ServiceTest, ArenaPoolWarmsUpAndPlateaus)
         << "arena pool kept constructing cold arenas instead of reusing";
 }
 
-TEST(ServiceTest, PerTenantTelemetryLandsInTheServiceBlock)
+TEST(ServiceTest, PerTenantFactsLandInTheRegistry)
 {
-    if (!kTelemetryEnabled) {
-        GTEST_SKIP() << "per-tenant counters need FPC_TELEMETRY=1";
-    }
-    Telemetry sink;
+    // Every build feeds the registry, telemetry-off included.
+    const TenantFacts climate_before = ScrapeTenant("climate");
+    const TenantFacts physics_before = ScrapeTenant("physics");
+    Histogram* request_hist = MetricsRegistry::Global().GetHistogram(
+        "fpc_service_request_ns",
+        "Per-request end-to-end latency (submit to completion), "
+        "nanoseconds.");
+    const LatencyHistogram hist_before = request_hist->Snapshot();
+    const Bytes payload = MakePayload(8192);
     {
-        Service service(MakeConfig(2, 256, false, &sink));
-        const Bytes payload = MakePayload(8192);
+        Service service(MakeConfig(2));
         for (int i = 0; i < 3; ++i) {
             ASSERT_EQ(service
                           .Call(CompressRequest(payload,
@@ -325,23 +375,24 @@ TEST(ServiceTest, PerTenantTelemetryLandsInTheServiceBlock)
                       .status,
                   Errc::kOk);
     }
-    const TelemetrySnapshot snap = sink.Snapshot();
-    ASSERT_EQ(snap.tenants.size(), 2u);
-    const TenantStats& climate = snap.tenants.at("climate");
-    EXPECT_EQ(climate.requests, 3u);
+    const TenantFacts climate = ScrapeTenant("climate") - climate_before;
+    EXPECT_EQ(climate.ok, 3u);
     EXPECT_EQ(climate.rejected, 0u);
     EXPECT_EQ(climate.failed, 0u);
-    EXPECT_EQ(climate.bytes_in, 3u * 8192 * sizeof(float));
+    EXPECT_EQ(climate.bytes_in, 3u * payload.size());
     EXPECT_GT(climate.bytes_out, 0u);
-    EXPECT_EQ(climate.latency.count, 3u);
-    EXPECT_GT(climate.latency.P99(), 0u);
-    EXPECT_EQ(snap.tenants.at("physics").requests, 1u);
+    const TenantFacts physics = ScrapeTenant("physics") - physics_before;
+    EXPECT_EQ(physics.ok, 1u);
+    EXPECT_EQ(physics.rejected, 0u);
+    EXPECT_EQ(physics.failed, 0u);
+    EXPECT_EQ(physics.bytes_in, payload.size());
+    EXPECT_GT(physics.bytes_out, 0u);
 
-    const std::string json = ToJson(snap);
-    EXPECT_NE(json.find("\"service\": {\"tenants\": {\"climate\": "),
-              std::string::npos);
-    EXPECT_NE(json.find("\"physics\""), std::string::npos);
-    EXPECT_NE(json.find("\"request\": {\"count\": 3"), std::string::npos);
+    // The whole-request latency histogram took all four requests.
+    const LatencyHistogram hist_after = request_hist->Snapshot();
+    EXPECT_EQ(hist_after.count - hist_before.count, 4u);
+    EXPECT_GT(hist_after.max_ns, 0u);
+    EXPECT_GT(hist_after.P99(), 0u);
 }
 
 TEST(ServiceTest, LiveMetricsCountersTrackRequests)
@@ -366,7 +417,7 @@ TEST(ServiceTest, LiveMetricsCountersTrackRequests)
         "nanoseconds.");
     const uint64_t ok_before = ok_compress->Value();
     const uint64_t bytes_before = bytes_in->Value();
-    const uint64_t hist_before = request_hist->Count();
+    const uint64_t hist_before = request_hist->Snapshot().count;
 
     const Bytes payload = MakePayload(20000);
     Service service(MakeConfig(2));
@@ -381,7 +432,7 @@ TEST(ServiceTest, LiveMetricsCountersTrackRequests)
     EXPECT_EQ(ok_compress->Value() - ok_before, kRequests);
     EXPECT_EQ(bytes_in->Value() - bytes_before,
               kRequests * payload.size());
-    EXPECT_GE(request_hist->Count() - hist_before, kRequests);
+    EXPECT_GE(request_hist->Snapshot().count - hist_before, kRequests);
 
     // The gauges are levels, not totals: everything submitted has
     // completed, so both must read zero for this idle scheduler.

@@ -19,6 +19,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <string>
+#include <vector>
 
 #include "core/codec.h"
 #include "core/executor.h"
@@ -333,8 +335,33 @@ TEST(TelemetryCompileSwitch, OffBuildCollectsNothing)
         EXPECT_TRUE(snap.executor.empty());
     }
     // The JSON schema line renders either way.
-    EXPECT_NE(sink.ToJson().find("\"schema\": \"fpc.telemetry.v6\""),
+    EXPECT_NE(sink.ToJson().find(std::string("\"schema\": \"") +
+                                 kTelemetrySchema + "\""),
               std::string::npos);
+}
+
+/** The keys of a one-line JSON object's top level, in order. Enough of
+ *  a scanner for ToJson output: strings hold no escaped quotes. */
+std::vector<std::string>
+TopLevelKeys(const std::string& json)
+{
+    std::vector<std::string> keys;
+    int depth = 0;
+    for (size_t i = 0; i < json.size(); ++i) {
+        const char c = json[i];
+        if (c == '{' || c == '[') {
+            ++depth;
+        } else if (c == '}' || c == ']') {
+            --depth;
+        } else if (c == '"') {
+            const size_t end = json.find('"', i + 1);
+            if (depth == 1 && json.compare(end + 1, 1, ":") == 0) {
+                keys.push_back(json.substr(i + 1, end - i - 1));
+            }
+            i = end;
+        }
+    }
+    return keys;
 }
 
 TEST(TelemetryJson, SchemaShape)
@@ -345,15 +372,28 @@ TEST(TelemetryJson, SchemaShape)
     Bytes compressed = Compress(Algorithm::kSPratio, ByteSpan(input), options);
     Decompress(ByteSpan(compressed), options);
     const std::string json = sink.ToJson();
+    EXPECT_EQ(json.rfind(std::string("{\"schema\": \"") + kTelemetrySchema +
+                             "\", ",
+                         0),
+              0u);
     for (const char* field :
-         {"\"schema\": \"fpc.telemetry.v6\"", "\"compress\"",
-          "\"decompress\"", "\"ranged\"", "\"chunks\"", "\"adaptive\"",
-          "\"mplg\"", "\"arena\"", "\"service\"", "\"tenants\"",
-          "\"stages\"", "\"DIFFMS\"", "\"RARE\"", "\"histograms\"",
-          "\"chunk_encode\"", "\"chunk_decode\"", "\"latency\"",
-          "\"p50_ns\"", "\"p95_ns\"", "\"p99_ns\"", "\"max_ns\""}) {
+         {"\"compress\"", "\"decompress\"", "\"ranged\"", "\"chunks\"",
+          "\"adaptive\"", "\"mplg\"", "\"arena\"", "\"stages\"",
+          "\"DIFFMS\"", "\"RARE\"", "\"histograms\"", "\"chunk_encode\"",
+          "\"chunk_decode\"", "\"latency\"", "\"p50_ns\"", "\"p95_ns\"",
+          "\"p99_ns\"", "\"max_ns\""}) {
         EXPECT_NE(json.find(field), std::string::npos) << field;
     }
+    // The top level is exactly the per-run blocks: live service facts
+    // belong to the metrics registry alone, so neither a service block
+    // nor a mirror of the registry is emitted.
+    const std::vector<std::string> top_level = {
+        "schema",     "executor", "algorithm", "isa",
+        "compress",   "decompress", "ranged",  "chunks",
+        "adaptive",   "mplg",     "arena",     "histograms",
+        "stages"};
+    EXPECT_EQ(TopLevelKeys(json), top_level);
+    EXPECT_EQ(json.find("\"service\""), std::string::npos);
     sink.Reset();
     const TelemetrySnapshot after = sink.Snapshot();
     EXPECT_EQ(after.compress.calls, 0u);

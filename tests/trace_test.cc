@@ -5,8 +5,8 @@
  *  - hierarchy reconciliation: on both backends, the stage spans of every
  *    chunk nest inside (sum to no more than) that chunk's span, and span
  *    counts equal the telemetry call counters collected by the same run;
- *  - histogram totals: the chunk latency digests of fpc.telemetry.v3
- *    count exactly one sample per chunk;
+ *  - histogram totals: the chunk latency digests of the telemetry
+ *    snapshot count exactly one sample per chunk;
  *  - neutrality: attaching a tracer must not change one compressed byte
  *    (asserted against the executor_test golden checksums);
  *  - the Chrome trace-event export shape ("fpc.trace.v1") and the

@@ -43,11 +43,11 @@
 #
 # The default leg also runs a mode=auto smoke (compress a mixed corpus
 # adaptively, inspect the v3 per-chunk table, decode on the gpusim
-# backend, byte-compare, and schema-check the v6 adaptive telemetry) and
+# backend, byte-compare, and schema-check the adaptive telemetry) and
 # a service daemon smoke: fpcd on a unix socket, concurrent fpcc
 # roundtrips for all four algorithms plus mode=auto on the gpusim
 # backend, every container byte-compared against the library path, and
-# the daemon's v6 stats (per-tenant service block) schema-checked.
+# the daemon's stage telemetry schema-checked.
 #
 # Each configuration builds into build-matrix/<name> so the normal
 # ./build tree is left alone. Exits non-zero on the first failure.
@@ -84,7 +84,7 @@ python3 "${root}/tools/check_stats_schema.py" "${out}/default/ci_trace.json"
 # of the decode must stay well below the compressed size — the pool holds
 # a fixed number of frames in flight, never the file. A ranged read out
 # of the same file then exercises the seek index end to end and its
-# fpc.telemetry.v6 ranged counters are schema-checked.
+# ranged telemetry counters are schema-checked.
 echo "==> [default] large-file streaming smoke"
 large_dir="${out}/default/large_smoke"
 rm -rf "${large_dir}"
@@ -166,9 +166,9 @@ rm -rf "${auto_dir}"
 # clients — all four fixed algorithms plus mode=auto on the gpusim
 # backend, one tenant each. Every compressed container is byte-compared
 # against the library path (fpczip with the same knobs), every
-# roundtrip against the input. The daemon's stats (live via `fpcc
-# stats` and the --stats-file written at shutdown) carry the v6
-# per-tenant service block and are schema-checked.
+# roundtrip against the input. The daemon's stage telemetry (live via
+# `fpcc stats` and the --stats-file written at shutdown) is
+# schema-checked.
 echo "==> [default] service daemon smoke"
 svc_dir="${out}/default/service_smoke"
 rm -rf "${svc_dir}"
@@ -243,10 +243,10 @@ rm -rf "${svc_dir}"
 # exporter, driven by bench_service in socket mode (polite tenants over
 # real daemon connections). Mid-run the HTTP /metrics endpoint is
 # scraped with a 50 ms latency budget and schema-checked; after the
-# load settles a final scrape is taken, the daemon is drained with
-# SIGTERM, and the scraped fpc_service_requests_total samples must
-# reconcile *exactly* with the per-tenant request totals in the v6
-# telemetry the daemon wrote to --stats-file at shutdown.
+# load settles a final scrape is taken and the daemon is drained with
+# SIGTERM. The scraped fpc_service_requests_total samples must equal,
+# *exactly*, the completed requests bench_service itself counted
+# client-side (the request digest counts in bench.json).
 echo "==> [default] live metrics + drain reconcile"
 met_dir="${out}/default/metrics_smoke"
 rm -rf "${met_dir}"
@@ -317,8 +317,8 @@ python3 "${root}/tools/check_stats_schema.py" \
     | grep -q '"status": "ok"'
 "${out}/default/fpcc" "--socket=${met_sock}" server_stats \
     | grep -q '"protocol_errors": 0'
-# Final scrape with the daemon idle, then a SIGTERM drain; the
-# shutdown telemetry must agree with the last scrape to the request.
+# Final scrape with the daemon idle, then a SIGTERM drain; the last
+# scrape must agree with the load generator to the request.
 python3 - "${met_http}" "${met_dir}/scrape_final.txt" 5000 <<'EOF'
 import socket, sys, time
 path, out, budget_ms = sys.argv[1], sys.argv[2], float(sys.argv[3])
@@ -343,9 +343,9 @@ kill -TERM "${met_pid}"
 wait "${met_pid}"
 python3 "${root}/tools/check_stats_schema.py" "${met_dir}/fpcd_stats.json"
 grep -q '"event": "drain_begin"' "${met_dir}/fpcd_stderr.log"
-python3 - "${met_dir}/scrape_final.txt" "${met_dir}/fpcd_stats.json" <<'EOF'
+python3 - "${met_dir}/scrape_final.txt" "${met_dir}/bench.json" <<'EOF'
 import json, re, sys
-scrape_path, stats_path = sys.argv[1], sys.argv[2]
+scrape_path, bench_path = sys.argv[1], sys.argv[2]
 scraped = 0
 sample = re.compile(r'^fpc_service_requests_total(?:\{[^}]*\})? (\d+)$')
 with open(scrape_path) as f:
@@ -353,24 +353,15 @@ with open(scrape_path) as f:
         m = sample.match(line.strip())
         if m:
             scraped += int(m.group(1))
-doc = None
-with open(stats_path) as f:
-    for line in f:
-        line = line.strip()
-        if line.startswith("{"):
-            parsed = json.loads(line)
-            if parsed.get("schema") == "fpc.telemetry.v6":
-                doc = parsed
-if doc is None:
-    sys.exit("metrics smoke: no telemetry document in the stats file")
-telemetry = sum(t["requests"] for t in doc["service"]["tenants"].values())
-mirror = sum(v for k, v in doc["metrics_snapshot"]["counters"].items()
-             if k.startswith("fpc_service_requests_total"))
-print(f"metrics smoke: scrape={scraped} telemetry={telemetry} "
-      f"snapshot={mirror} completed requests")
-if scraped == 0 or scraped != telemetry or mirror != telemetry:
+with open(bench_path) as f:
+    bench = json.loads(f.read())
+completed = sum(r["histograms"]["request"]["count"]
+                for r in bench["results"])
+print(f"metrics smoke: scrape={scraped} bench={completed} "
+      "completed requests")
+if completed == 0 or scraped != completed:
     sys.exit("metrics smoke: scraped request totals do not reconcile "
-             "with the shutdown telemetry")
+             "with the requests bench_service completed")
 EOF
 rm -rf "${met_dir}"
 

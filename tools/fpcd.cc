@@ -25,11 +25,11 @@
  *                     (default 8).
  * --max-in-flight=N   default per-tenant cap on queued + executing
  *                     requests (default: unlimited).
- * --stats-file=PATH   write the final "fpc.telemetry.v6" JSON line
- *                     (per-stage counters, the per-tenant "service"
- *                     block, and the "metrics_snapshot" mirror) to PATH
- *                     on shutdown. `fpcc stats` reads the same JSON
- *                     live.
+ * --stats-file=PATH   write the final "fpc.telemetry.v7" JSON line
+ *                     (per-stage counters of the requests' library
+ *                     runs) to PATH on shutdown. `fpcc stats` reads the
+ *                     same JSON live; per-tenant service facts are in
+ *                     the metrics exposition.
  * --trace=FILE        record one span per request and write a Chrome
  *                     trace-event timeline to FILE on shutdown.
  * --metrics-socket=PATH  serve HTTP `GET /metrics` (Prometheus text

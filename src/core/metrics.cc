@@ -94,6 +94,7 @@ Histogram::Snapshot() const
         out.buckets[i] = buckets_[i].Sum();
         out.count += out.buckets[i];
     }
+    out.sum_ns = sum_.Sum();
     for (const auto& cell : max_ns_) {
         out.max_ns = std::max(out.max_ns,
                               cell.load(std::memory_order_relaxed));
@@ -300,8 +301,7 @@ MetricsRegistry::Exposition() const
                 AppendSample(out, entry.name + "_bucket",
                              RenderLabels(entry.labels, "le", "+Inf"),
                              hist.count);
-                AppendSample(out, entry.name + "_sum", labels,
-                             entry.histogram->SumNs());
+                AppendSample(out, entry.name + "_sum", labels, hist.sum_ns);
                 AppendSample(out, entry.name + "_count", labels, hist.count);
                 break;
             }

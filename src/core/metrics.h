@@ -73,13 +73,15 @@ using MetricLabels = std::vector<std::pair<std::string, std::string>>;
  * width is i: bucket 0 = {0 ns}, bucket i = [2^(i-1), 2^i) ns —
  * power-of-two buckets cover the ns..s range in 65 counters with no
  * allocation. The exact maximum is kept alongside, so the top quantiles
- * never report a bucket bound past the largest observed sample.
+ * never report a bucket bound past the largest observed sample, and so
+ * is the exact sum of every sample (the total time the samples cover).
  */
 struct LatencyHistogram {
     static constexpr size_t kBuckets = 65;  // bit_width(uint64) ∈ [0, 64]
     std::array<uint64_t, kBuckets> buckets{};
     uint64_t count = 0;
     uint64_t max_ns = 0;
+    uint64_t sum_ns = 0;
 
     /** The bucket a sample lands in (the whole bucket scheme). */
     static size_t BucketOf(uint64_t ns) { return std::bit_width(ns); }
@@ -89,6 +91,7 @@ struct LatencyHistogram {
     {
         ++buckets[BucketOf(ns)];
         ++count;
+        sum_ns += ns;
         if (ns > max_ns) max_ns = ns;
     }
 
@@ -97,6 +100,7 @@ struct LatencyHistogram {
     {
         for (size_t i = 0; i < kBuckets; ++i) buckets[i] += other.buckets[i];
         count += other.count;
+        sum_ns += other.sum_ns;
         max_ns = std::max(max_ns, other.max_ns);
     }
 
@@ -211,10 +215,9 @@ class Histogram {
         }
     }
 
-    /** Summed buckets, count (the bucket total) and max at read time. */
+    /** Summed buckets, count (the bucket total), sum and max at read
+     *  time. */
     LatencyHistogram Snapshot() const;
-
-    uint64_t SumNs() const { return sum_.Sum(); }
 
  private:
     friend class MetricsRegistry;

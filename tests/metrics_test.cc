@@ -108,7 +108,7 @@ TEST(MetricsRegistry, HistogramSnapshotIsTheSharedLatencyHistogram)
     }
     const LatencyHistogram snap = hist->Snapshot();
     EXPECT_EQ(snap.count, std::size(samples));
-    EXPECT_EQ(hist->SumNs(), sum);
+    EXPECT_EQ(snap.sum_ns, sum);
     EXPECT_EQ(snap.max_ns, uint64_t{999999999});
     uint64_t bucket_total = 0;
     for (const uint64_t count : snap.buckets) bucket_total += count;
@@ -118,8 +118,15 @@ TEST(MetricsRegistry, HistogramSnapshotIsTheSharedLatencyHistogram)
     EXPECT_EQ(snap.buckets, local.buckets);
     EXPECT_EQ(snap.count, local.count);
     EXPECT_EQ(snap.max_ns, local.max_ns);
+    EXPECT_EQ(snap.sum_ns, local.sum_ns);
     EXPECT_EQ(snap.P50(), local.P50());
     EXPECT_EQ(snap.P99(), local.P99());
+    // Merging shards (Add) sums the total time along with the counts.
+    LatencyHistogram merged = local;
+    merged.Add(local);
+    EXPECT_EQ(merged.count, 2 * local.count);
+    EXPECT_EQ(merged.sum_ns, 2 * sum);
+    EXPECT_EQ(merged.max_ns, local.max_ns);
 }
 
 TEST(MetricsRegistry, ExpositionShapeAndHistogramInvariants)

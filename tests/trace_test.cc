@@ -241,10 +241,13 @@ TEST(TraceExport, ChromeJsonShape)
         EXPECT_NE(json.find(field), std::string::npos) << field;
     }
     if (kTelemetryEnabled) {
+        // Any worker extent: only workers that encoded a chunk get one,
+        // and the chunk loop is dynamically scheduled, so which worker
+        // ids appear is up to the OpenMP runtime.
         for (const char* field :
              {"\"ph\": \"X\"", "\"name\": \"compress SPspeed@cpu\"",
               "\"name\": \"chunk encode\"", "\"cat\": \"stage\"",
-              "\"name\": \"worker 0\""}) {
+              "\"cat\": \"worker\""}) {
             EXPECT_NE(json.find(field), std::string::npos) << field;
         }
     } else {

@@ -32,8 +32,11 @@
 #include <cinttypes>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "core/codec.h"
 #include "core/executor.h"
@@ -93,6 +96,18 @@ SmoothValues(size_t n, uint64_t seed)
         values[i] = static_cast<float>(x);
     }
     return values;
+}
+
+/** Workers a ranged read decodes on: default Options (threads 0) run
+ *  the executor's OpenMP team. */
+int
+RangeThreads()
+{
+#ifdef _OPENMP
+    return omp_get_max_threads();
+#else
+    return 1;
+#endif
 }
 
 double
@@ -225,13 +240,12 @@ main(int argc, char** argv)
                       "{\"schema\": \"fpc.bench.v1\", \"config\": {"
                       "\"frames\": %zu, \"values_per_frame\": %zu, "
                       "\"queries\": %zu, \"range_elements\": %zu, "
-                      "\"repeats\": %d, \"threads\": %u, \"isa\": \"%s\", "
+                      "\"repeats\": %d, \"threads\": %d, \"isa\": \"%s\", "
                       "\"telemetry\": %s, \"fingerprint\": \"%s\"}, "
                       "\"results\": [",
                       config.frames, config.values_per_frame, config.queries,
                       config.range_elements, config.repeats,
-                      std::max(1u, std::thread::hardware_concurrency()),
-                      simd::IsaName(simd::DefaultIsa()),
+                      RangeThreads(), simd::IsaName(simd::DefaultIsa()),
                       kTelemetryEnabled ? "true" : "false",
                       Fingerprint(config).c_str());
         out += buf;

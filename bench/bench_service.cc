@@ -446,13 +446,12 @@ main(int argc, char** argv)
                       "{\"schema\": \"fpc.bench.v1\", \"config\": {"
                       "\"tenants\": %zu, \"requests_per_tenant\": %zu, "
                       "\"values_per_request\": %zu, \"workers\": %zu, "
-                      "\"window\": %zu, \"threads\": %u, \"isa\": \"%s\", "
+                      "\"window\": %zu, \"threads\": %zu, \"isa\": \"%s\", "
                       "\"transport\": \"%s\", "
                       "\"telemetry\": %s, \"fingerprint\": \"%s\"}, "
                       "\"results\": [",
                       config.tenants, config.requests, config.values,
-                      config.workers, config.window,
-                      std::max(1u, std::thread::hardware_concurrency()),
+                      config.workers, config.window, config.workers,
                       simd::IsaName(simd::DefaultIsa()),
                       socket_mode ? "socket" : "inproc",
                       kTelemetryEnabled ? "true" : "false",

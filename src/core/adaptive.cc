@@ -185,7 +185,7 @@ EncodeChunkAuto(ByteSpan chunk, bool& raw, uint8_t& algorithm_id,
         // size (each trial encode reuses the arena, so the winner must
         // live in the stash between rounds).
         Bytes& stash = scratch.TrialStash();
-        stash.assign(payload.begin(), payload.end());
+        AssignBytes(stash, payload);
         size_t winner_size = raw ? chunk.size() : stash.size();
         for (int r = 1; r < 4; ++r) {
             const uint8_t cand = order[static_cast<size_t>(r)];
@@ -201,7 +201,7 @@ EncodeChunkAuto(ByteSpan chunk, bool& raw, uint8_t& algorithm_id,
                 winner = cand;
                 raw = raw_cand;
                 winner_size = size_cand;
-                stash.assign(payload_cand.begin(), payload_cand.end());
+                AssignBytes(stash, payload_cand);
             }
         }
         payload = raw ? chunk : ByteSpan(stash);

@@ -21,8 +21,7 @@ ScratchArena::BitmapKept(size_t i)
 size_t
 ScratchArena::CapacityBytes() const
 {
-    size_t total = pipeline_a_.capacity() + pipeline_b_.capacity() +
-                   retained_.capacity();
+    size_t total = pipeline_a_.capacity() + pipeline_b_.capacity();
     for (const Bytes& s : slots_) total += s.capacity();
     total += words32_.capacity() * sizeof(uint32_t);
     total += words64_.capacity() * sizeof(uint64_t);

@@ -1,18 +1,16 @@
 #include "core/executor.h"
 
-#include <atomic>
 #include <cctype>
 #include <cstdint>
-#include <exception>
 
 #ifdef _OPENMP
 #include <omp.h>
 #endif
 
-#include "core/adaptive.h"
 #include "core/orchestrate.h"
 #include "core/telemetry.h"
 #include "gpusim/launch.h"
+#include "util/hash.h"
 
 namespace fpc {
 
@@ -76,7 +74,7 @@ WorkerId()
 /**
  * The paper's CPU implementation: chunks dynamically scheduled across
  * OpenMP threads (Options::threads), per-thread scratch arenas, and the
- * two-pass prefix-sum container assembly from core/orchestrate.h.
+ * one-pass look-back container placement of core/orchestrate.h.
  */
 class CpuExecutor final : public Executor {
  public:
@@ -108,7 +106,7 @@ class CpuExecutor final : public Executor {
         // pre-stage: each chunk picks its own (possibly FCM-chunked)
         // pipeline in the loop below.
         const bool adaptive = options.adaptive;
-        std::unique_ptr<std::byte[]> work;
+        Bytes work;
         ByteSpan chunk_src = input;
         if (!adaptive && spec.pre.encode != nullptr) {
             ScratchArena pre_scratch;
@@ -118,59 +116,40 @@ class CpuExecutor final : public Executor {
                                        scope.MainShard(), work);
         }
 
-        // Pass 1 (paper Section 3): chunks are dynamically assigned to
-        // threads; each encodes into its worker's arena-retained buffer —
-        // no allocations per chunk once the arenas are warm.
-        const size_t n_chunks = ChunkCountOf(chunk_src.size());
-        EncodePlan plan(n_chunks);
-        if (adaptive) plan.EnableAdaptive();
+        // Chunks are dynamically assigned to threads in index order (paper
+        // Section 3); each encodes in its worker's arena and its payload
+        // is copied once, to the container offset the look-back resolves.
         ArenaLease lease =
             AcquireScratch(options.arenas, static_cast<size_t>(threads));
         std::span<ScratchArena> arenas = lease.Span();
         const simd::Isa isa = ResolveIsa(options);
         for (ScratchArena& arena : arenas) arena.SetKernelIsa(isa);
-        scope.HintChunks(n_chunks);
+        EncodePlan plan(chunk_src, adaptive, arenas);
+        scope.HintChunks(plan.ChunkCount());
         scope.Attach(arenas);
+        const auto n_chunks = static_cast<std::int64_t>(plan.ChunkCount());
+        uint64_t checksum = 0;
 #ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic) num_threads(threads)
+#pragma omp parallel num_threads(threads)
 #endif
-        for (std::int64_t c = 0; c < static_cast<std::int64_t>(n_chunks);
-             ++c) {
-            const auto worker = static_cast<uint32_t>(WorkerId());
-            ScratchArena& scratch = arenas[worker];
-            TelemetryShard* shard = scratch.Telemetry();
-            TraceRing* ring = shard != nullptr ? shard->trace : nullptr;
-            if (ring != nullptr) ring->SetChunk(static_cast<uint64_t>(c));
-            const uint64_t t0 = shard != nullptr ? TelemetryNowNs() : 0;
-            bool raw = false;
-            ByteSpan payload;
-            if (adaptive) {
-                uint8_t id = 0;
-                payload = EncodeChunkAuto(ChunkAt(chunk_src, c), raw, id,
-                                          scratch, &EncodeChunk);
-                plan.algorithm_ids[c] = id;
-            } else {
-                payload =
-                    EncodeChunk(spec, ChunkAt(chunk_src, c), raw, scratch);
-            }
-            plan.Record(c, worker, payload, raw, scratch);
-            if (shard != nullptr) {
-                const uint64_t t1 = TelemetryNowNs();
-                shard->OnChunkEncode(t1 - t0);
-                if (ring != nullptr) {
-                    ring->Record(TraceSpanKind::kChunk, kTraceEncode, 0,
-                                 static_cast<uint64_t>(c), t0, t1);
-                }
+        {
+            // The serial content checksum overlaps the chunk loop: the
+            // first thread to arrive hashes the input while the others
+            // encode, then joins them.
+#ifdef _OPENMP
+#pragma omp single nowait
+#endif
+            checksum = Checksum64(input);
+#ifdef _OPENMP
+#pragma omp for schedule(dynamic) nowait
+#endif
+            for (std::int64_t c = 0; c < n_chunks; ++c) {
+                plan.EncodeChunkAt(static_cast<size_t>(c),
+                                   static_cast<size_t>(WorkerId()), spec,
+                                   &EncodeChunk);
             }
         }
-
-        const ContainerHeader header =
-            adaptive ? MakeAdaptiveContainerHeader(algorithm, input)
-                     : MakeContainerHeader(algorithm, input,
-                                           chunk_src.size());
-        const WritePositions wp = ComputeWritePositions(plan.sizes);
-        Bytes out = AssembleContainer(header, plan, wp.offsets, wp.total,
-                                      arenas, threads);
+        Bytes out = plan.Finish(algorithm, input.size(), checksum);
         // Counters merge once, at the barrier — never on the chunk path.
         scope.Finish(arenas);
         return out;
@@ -206,7 +185,6 @@ class CpuExecutor final : public Executor {
     {
         return [options](const ContainerView& view, const PipelineSpec& spec,
                          std::byte* dest) {
-            const size_t transformed_size = view.header.transformed_size;
             const int threads = EffectiveThreads(options);
             ArenaLease lease = AcquireScratch(options.arenas,
                                               static_cast<size_t>(threads));
@@ -217,65 +195,24 @@ class CpuExecutor final : public Executor {
                                     static_cast<size_t>(threads));
             scope.HintChunks(view.header.chunk_count);
             scope.Attach(arenas);
-            std::atomic<bool> failed{false};
-            std::exception_ptr first_error;
+            FirstError error;
             const auto n_chunks =
                 static_cast<std::int64_t>(view.header.chunk_count);
 #ifdef _OPENMP
 #pragma omp parallel for schedule(dynamic) num_threads(threads)
 #endif
             for (std::int64_t c = 0; c < n_chunks; ++c) {
-                if (failed.load(std::memory_order_relaxed)) continue;
+                if (error.Raised()) continue;
                 try {
-                    ScratchArena& scratch =
-                        arenas[static_cast<size_t>(WorkerId())];
-                    TelemetryShard* shard = scratch.Telemetry();
-                    TraceRing* ring =
-                        shard != nullptr ? shard->trace : nullptr;
-                    if (ring != nullptr) {
-                        ring->SetChunk(static_cast<uint64_t>(c));
-                    }
-                    const uint64_t t0 =
-                        shard != nullptr ? TelemetryNowNs() : 0;
-                    ByteSpan payload =
-                        view.payload.subspan(view.chunk_offsets[c],
-                                             view.chunk_sizes[c]);
-                    DecodeChunk(ChunkSpec(view, spec, c), payload,
-                                view.chunk_raw[c],
-                                ChunkSlotAt(dest, transformed_size, c),
-                                scratch);
-                    if (shard != nullptr) {
-                        const uint64_t t1 = TelemetryNowNs();
-                        shard->OnChunkDecode(t1 - t0);
-                        if (ring != nullptr) {
-                            ring->Record(TraceSpanKind::kChunk,
-                                         kTraceDecode, 0,
-                                         static_cast<uint64_t>(c), t0, t1);
-                        }
-                    }
+                    DecodeChunkAt(view, spec, static_cast<size_t>(c), dest,
+                                  arenas[static_cast<size_t>(WorkerId())],
+                                  &DecodeChunk);
                 } catch (...) {
-#ifdef _OPENMP
-#pragma omp critical
-#endif
-                    {
-                        if (!failed.exchange(true)) {
-                            first_error = std::current_exception();
-                        }
-                    }
+                    error.Capture();
                 }
             }
             scope.Finish(arenas);
-            if (failed.load()) {
-                // Rethrow the first failure so stage/offset context in a
-                // CorruptStreamError survives the parallel region.
-                try {
-                    std::rethrow_exception(first_error);
-                } catch (const CorruptStreamError&) {
-                    throw;
-                } catch (const std::exception& e) {
-                    throw CorruptStreamError(e.what());
-                }
-            }
+            error.Rethrow();
         };
     }
 
@@ -283,35 +220,12 @@ class CpuExecutor final : public Executor {
     PreDecode(const Options& options)
     {
         return [options](const PipelineSpec& spec, ByteSpan transformed,
-                         Bytes& out) {
+                         std::span<std::byte> out) {
             ScratchArena pre_scratch;
             pre_scratch.SetKernelIsa(ResolveIsa(options));
             pre_scratch.SetStageThreads(EffectiveThreads(options));
-            Telemetry* sink = SinkOf(options);
-            TraceSink* trace = TraceOf(options);
-            if (sink == nullptr && trace == nullptr) {
-                spec.pre.decode(transformed, out, pre_scratch);
-                return;
-            }
-            const uint64_t t0 = TelemetryNowNs();
-            spec.pre.decode(transformed, out, pre_scratch);
-            const uint64_t t1 = TelemetryNowNs();
-            if (sink != nullptr) {
-                TelemetryShard shard;
-                shard.OnStageDecode(spec.pre.id, transformed.size(),
-                                    out.size(), t1 - t0);
-                sink->Merge(shard);
-            }
-            if (trace != nullptr) {
-                TraceSpan span;
-                span.start_ns = t0;
-                span.dur_ns = t1 - t0;
-                span.worker = 0;  // runs on the orchestrating thread
-                span.kind = TraceSpanKind::kPre;
-                span.dir = kTraceDecode;
-                span.stage = static_cast<uint8_t>(spec.pre.id);
-                trace->Record(span);
-            }
+            DecodePreStage(spec, transformed, out, pre_scratch,
+                           SinkOf(options), TraceOf(options));
         };
     }
 };

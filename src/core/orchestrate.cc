@@ -1,121 +1,212 @@
 #include "core/orchestrate.h"
 
 #include <cstdint>
+#include <numeric>
 
 #include "core/telemetry.h"
 #include "util/hash.h"
-#include "util/scan.h"
 
 namespace fpc {
 
+namespace {
+
 ContainerHeader
-MakeContainerHeader(Algorithm algorithm, ByteSpan input,
-                    size_t transformed_size)
+MakeContainerHeader(Algorithm algorithm, size_t original_size,
+                    size_t transformed_size, uint64_t checksum)
 {
     ContainerHeader header;
     header.algorithm = static_cast<uint8_t>(algorithm);
-    header.original_size = input.size();
+    header.original_size = original_size;
     header.transformed_size = transformed_size;
-    header.checksum = Checksum64(input);
+    header.checksum = checksum;
     header.chunk_count = static_cast<uint32_t>(ChunkCountOf(transformed_size));
     return header;
 }
 
-Algorithm
-AdaptiveRepresentative(Algorithm algorithm)
-{
-    return GetPipeline(algorithm).word_size == 8 ? Algorithm::kDPspeed
-                                                 : Algorithm::kSPspeed;
-}
-
+/** Version-3 header for an adaptive encode: the pre-stage-free algorithm
+ *  of @p algorithm's element width (kSPspeed for 4-byte, kDPspeed for
+ *  8-byte) stands for the container, the per-chunk id table holds the
+ *  real decisions, and transformed == original (adaptive containers never
+ *  run a whole-input pre-stage). */
 ContainerHeader
-MakeAdaptiveContainerHeader(Algorithm algorithm, ByteSpan input)
+MakeAdaptiveContainerHeader(Algorithm algorithm, size_t original_size,
+                            uint64_t checksum)
 {
+    const Algorithm representative = GetPipeline(algorithm).word_size == 8
+                                         ? Algorithm::kDPspeed
+                                         : Algorithm::kSPspeed;
     ContainerHeader header = MakeContainerHeader(
-        AdaptiveRepresentative(algorithm), input, input.size());
+        representative, original_size, original_size, checksum);
     header.version = ContainerHeader::kVersionAdaptive;
     return header;
 }
 
-WritePositions
-ComputeWritePositions(const std::vector<uint32_t>& sizes)
+}  // namespace
+
+EncodePlan::EncodePlan(ByteSpan chunk_src, bool adaptive,
+                       std::span<ScratchArena> arenas)
+    : chunk_src_(chunk_src),
+      adaptive_(adaptive),
+      arenas_(arenas),
+      raw_flags_(ChunkCountOf(chunk_src.size()), 0),
+      sizes_(raw_flags_.size(), 0),
+      algorithm_ids_(adaptive ? raw_flags_.size() : 0, 0),
+      parked_(arenas.size()),
+      lookback_(raw_flags_.size()),
+      prefix_size_(ContainerHeaderSize() + raw_flags_.size() * 4)
 {
-    WritePositions wp;
-    wp.offsets.assign(sizes.begin(), sizes.end());
-    wp.total = ExclusiveScan(std::span<uint64_t>(wp.offsets));
-    return wp;
+    // Uninitialised: only the prefix and the placed payloads are ever
+    // written, so the bound's slack is never touched.
+    out_.resize(prefix_size_ + chunk_src.size());
+}
+
+void
+EncodePlan::Copy(size_t c, uint64_t offset, const std::byte* payload)
+{
+    if (sizes_[c] != 0) {
+        std::memcpy(out_.data() + prefix_size_ + offset, payload, sizes_[c]);
+    }
+}
+
+bool
+EncodePlan::PlaceParked(Parked& parked)
+{
+    size_t placed = 0;
+    for (const Parked::Entry& e : parked.entries) {
+        uint64_t offset = 0;
+        // A later entry waits on every predecessor this one waits on.
+        if (!lookback_.TryResolvePrefix(e.chunk, offset)) break;
+        Copy(e.chunk, offset,
+             e.raw ? ChunkAt(chunk_src_, e.chunk).data()
+                   : parked.bytes.data() + e.offset);
+        ++placed;
+    }
+    parked.entries.erase(parked.entries.begin(),
+                         parked.entries.begin() +
+                             static_cast<std::ptrdiff_t>(placed));
+    if (!parked.entries.empty()) return false;
+    parked.bytes.clear();
+    return true;
+}
+
+void
+EncodePlan::EncodeChunkAt(size_t c, size_t worker, const PipelineSpec& spec,
+                          ChunkEncodeFn encode, bool block_span)
+{
+    ScratchArena& scratch = arenas_[worker];
+    TelemetryShard* shard = scratch.Telemetry();
+    TraceRing* ring = shard != nullptr ? shard->trace : nullptr;
+    if (ring != nullptr) ring->SetChunk(c);
+    const uint64_t t0 = shard != nullptr ? TelemetryNowNs() : 0;
+    const ByteSpan chunk = ChunkAt(chunk_src_, c);
+    bool raw = false;
+    ByteSpan payload;
+    if (adaptive_) {
+        payload = EncodeChunkAuto(chunk, raw, algorithm_ids_[c], scratch,
+                                  encode);
+    } else {
+        payload = encode(spec, chunk, raw, scratch);
+    }
+    const uint64_t t_encoded =
+        shard != nullptr && block_span ? TelemetryNowNs() : 0;
+
+    FPC_CHECK(payload.size() <= chunk.size(),
+              "chunk payload exceeds its raw bound");
+    raw_flags_[c] = raw ? 1 : 0;
+    sizes_[c] = static_cast<uint32_t>(payload.size());
+    lookback_.PublishAggregate(c, payload.size());
+    Parked& parked = parked_[worker];
+    uint64_t offset = 0;
+    if (PlaceParked(parked) && lookback_.TryResolvePrefix(c, offset)) {
+        Copy(c, offset, payload.data());
+    } else {
+        // The payload view dies with the next chunk on this arena; a raw
+        // chunk's view is the input itself, which outlives the plan.
+        parked.entries.push_back({c, parked.bytes.size(), raw});
+        if (!raw) AppendBytes(parked.bytes, payload);
+    }
+
+    if (shard == nullptr) return;
+    const uint64_t t1 = TelemetryNowNs();
+    const uint64_t chunk_end = block_span ? t_encoded : t1;
+    shard->OnChunkEncode(chunk_end - t0);
+    if (ring != nullptr) {
+        ring->Record(TraceSpanKind::kChunk, kTraceEncode, 0, c, t0,
+                     chunk_end);
+        if (block_span) {
+            ring->Record(TraceSpanKind::kBlock, kTraceEncode, 0, c, t0, t1);
+        }
+    }
 }
 
 Bytes
-AssembleContainer(const ContainerHeader& header, const EncodePlan& plan,
-                  std::span<const uint64_t> offsets, uint64_t total,
-                  std::span<ScratchArena> arenas, int threads)
+EncodePlan::Finish(Algorithm algorithm, size_t original_size,
+                   uint64_t checksum)
 {
-    const size_t n_chunks = plan.ChunkCount();
-    FPC_CHECK(offsets.size() == n_chunks, "write-position count mismatch");
-
-    const size_t prefix_size = ContainerHeaderSize() + n_chunks * 4;
-    Bytes out;
-    out.reserve(prefix_size + total);
-    WriteContainerPrefix(header, plan.sizes, plan.raw_flags,
-                         plan.algorithm_ids, out);
-    FPC_CHECK(out.size() == prefix_size, "container prefix size mismatch");
-    out.resize(prefix_size + total);
-
-    // Each payload goes to its prefix-summed offset; chunks are disjoint,
-    // so placement parallelizes trivially.
-    std::byte* payload_base = out.data() + prefix_size;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) num_threads(std::max(threads, 1))
-#endif
-    for (std::int64_t c = 0; c < static_cast<std::int64_t>(n_chunks); ++c) {
-        FPC_CHECK(offsets[c] + plan.sizes[c] <= total,
-                  "write position out of range");
-        if (plan.sizes[c] == 0) continue;
-        const EncodePlan::Ref& ref = plan.refs[c];
-        const Bytes& retained = arenas[ref.worker].Retained();
-        std::memcpy(payload_base + offsets[c], retained.data() + ref.offset,
-                    plan.sizes[c]);
+    // Every chunk has published by now, so the parked ones all resolve.
+    for (Parked& parked : parked_) {
+        FPC_CHECK(PlaceParked(parked), "parked chunk left unplaced");
     }
-    (void)threads;
-    return out;
+    const ContainerHeader header =
+        adaptive_ ? MakeAdaptiveContainerHeader(algorithm, original_size,
+                                                checksum)
+                  : MakeContainerHeader(algorithm, original_size,
+                                        chunk_src_.size(), checksum);
+    Bytes prefix;
+    prefix.reserve(prefix_size_);
+    WriteContainerPrefix(header, sizes_, raw_flags_, algorithm_ids_, prefix);
+    FPC_CHECK(prefix.size() == prefix_size_, "container prefix size mismatch");
+    std::memcpy(out_.data(), prefix.data(), prefix_size_);
+    out_.resize(prefix_size_ + std::accumulate(sizes_.begin(), sizes_.end(),
+                                               uint64_t{0}));
+    return std::move(out_);
 }
-
-namespace {
 
 void
-CheckContent(const ContainerHeader& header, ByteSpan out)
+DecodeChunkAt(const ContainerView& view, const PipelineSpec& spec, size_t c,
+              std::byte* dest, ScratchArena& scratch, ChunkDecodeFn decode,
+              bool block_span)
 {
-    FPC_PARSE_CHECK(out.size() == header.original_size,
-                    "decompressed size mismatch");
-    FPC_PARSE_CHECK(Checksum64(out) == header.checksum,
-                    "content checksum mismatch");
+    TelemetryShard* shard = scratch.Telemetry();
+    TraceRing* ring = shard != nullptr ? shard->trace : nullptr;
+    if (ring != nullptr) ring->SetChunk(c);
+    const uint64_t t0 = shard != nullptr ? TelemetryNowNs() : 0;
+    decode(ChunkSpec(view, spec, c),
+           view.payload.subspan(view.chunk_offsets[c], view.chunk_sizes[c]),
+           view.chunk_raw[c],
+           ChunkSlotAt(dest, view.header.transformed_size, c), scratch);
+    if (shard == nullptr) return;
+    const uint64_t t1 = TelemetryNowNs();
+    shard->OnChunkDecode(t1 - t0);
+    if (ring != nullptr) {
+        if (block_span) {
+            ring->Record(TraceSpanKind::kBlock, kTraceDecode, 0, c, t0, t1);
+        }
+        ring->Record(TraceSpanKind::kChunk, kTraceDecode, 0, c, t0, t1);
+    }
 }
 
-/**
- * Chunk-decode target for the transformed stream of a pipeline with a
- * whole-input stage. Left uninitialised: ParseContainer pins chunk_count
- * to transformed_size, so the chunk decoders write every byte or throw
- * before any is read, and the decoding workers touch the pages first
- * instead of a serial zero-fill.
- */
-std::unique_ptr<std::byte[]>
-TransformedBuffer(const ContainerView& view)
+void
+FirstError::Rethrow() const
 {
-    return std::unique_ptr<std::byte[]>(
-        new std::byte[view.header.transformed_size]);
+    if (!Raised()) return;
+    try {
+        std::rethrow_exception(error_);
+    } catch (const CorruptStreamError&) {
+        throw;
+    } catch (const std::exception& e) {
+        throw CorruptStreamError(e.what());
+    }
 }
-
-}  // namespace
 
 ByteSpan
 EncodePreStage(const PipelineSpec& spec, ByteSpan input, ScratchArena& scratch,
-               TelemetryShard* shard, std::unique_ptr<std::byte[]>& work)
+               TelemetryShard* shard, Bytes& work)
 {
     const size_t size = spec.pre.encoded_size(input.size());
-    work.reset(new std::byte[size]);
+    work.resize(size);
     const uint64_t t0 = shard != nullptr ? TelemetryNowNs() : 0;
-    spec.pre.encode_into(input, {work.get(), size}, scratch);
+    spec.pre.encode_into(input, work, scratch);
     if (shard != nullptr) {
         const uint64_t t1 = TelemetryNowNs();
         shard->OnStageEncode(spec.pre.id, input.size(), size, t1 - t0);
@@ -125,42 +216,108 @@ EncodePreStage(const PipelineSpec& spec, ByteSpan input, ScratchArena& scratch,
                                  t1);
         }
     }
-    return {work.get(), size};
+    return work;
 }
+
+void
+DecodePreStage(const PipelineSpec& spec, ByteSpan transformed,
+               std::span<std::byte> out, ScratchArena& scratch,
+               Telemetry* sink, TraceSink* trace)
+{
+    TelemetryShard* shard = scratch.Telemetry();
+    const bool timed = shard != nullptr || sink != nullptr || trace != nullptr;
+    const uint64_t t0 = timed ? TelemetryNowNs() : 0;
+    spec.pre.decode_into(transformed, out, scratch);
+    if (!timed) return;
+    const uint64_t t1 = TelemetryNowNs();
+    const auto stage = static_cast<uint8_t>(spec.pre.id);
+    if (shard != nullptr) {
+        shard->OnStageDecode(spec.pre.id, transformed.size(), out.size(),
+                             t1 - t0);
+        if (shard->trace != nullptr) {
+            shard->trace->Record(TraceSpanKind::kPre, kTraceDecode, stage, 0,
+                                 t0, t1);
+        }
+        return;
+    }
+    if (sink != nullptr) {
+        TelemetryShard local;
+        local.OnStageDecode(spec.pre.id, transformed.size(), out.size(),
+                            t1 - t0);
+        sink->Merge(local);
+    }
+    if (trace != nullptr) {
+        TraceSpan span;
+        span.start_ns = t0;
+        span.dur_ns = t1 - t0;
+        span.worker = 0;  // runs on the orchestrating thread
+        span.kind = TraceSpanKind::kPre;
+        span.dir = kTraceDecode;
+        span.stage = stage;
+        trace->Record(span);
+    }
+}
+
+namespace {
+
+/** Cross-check the header's sizes for @p spec before anything is sized
+ *  from them. */
+void
+CheckSizes(const ContainerHeader& header, const PipelineSpec& spec)
+{
+    if (spec.pre.decode == nullptr) {
+        FPC_PARSE_CHECK(header.transformed_size == header.original_size,
+                        "transformed size mismatch for pre-stage-free "
+                        "algorithm");
+    } else {
+        // FCM (the only pre-stage) always expands, so a valid container's
+        // declared original size never exceeds its transformed size; a
+        // forged original_size cannot drive an allocation beyond the
+        // file-bounded transformed stream.
+        FPC_PARSE_CHECK_AT(header.original_size <= header.transformed_size,
+                           "original size exceeds transformed size",
+                           "container", 8);
+    }
+}
+
+/** Decode a size-checked @p view into @p out and verify its checksum. */
+void
+DecodeView(const ContainerView& view, const PipelineSpec& spec,
+           std::span<std::byte> out, const DecodeChunksFn& decode_chunks,
+           const PreDecodeFn& pre_decode)
+{
+    if (spec.pre.decode == nullptr) {
+        decode_chunks(view, spec, out.data());
+    } else {
+        // The chunk decoders write every byte of the transformed stream
+        // or throw (ParseContainer pins chunk_count to transformed_size),
+        // so it is left uninitialised, like `out`.
+        Bytes work(view.header.transformed_size);
+        decode_chunks(view, spec, work.data());
+        pre_decode(spec, work, out);
+    }
+    FPC_PARSE_CHECK(Checksum64(ByteSpan(out.data(), out.size())) ==
+                        view.header.checksum,
+                    "content checksum mismatch");
+}
+
+const PipelineSpec&
+FrameSpec(const ContainerView& view)
+{
+    return GetPipeline(static_cast<Algorithm>(view.header.algorithm));
+}
+
+}  // namespace
 
 Bytes
 RunDecompress(ByteSpan compressed, const DecodeChunksFn& decode_chunks,
               const PreDecodeFn& pre_decode)
 {
-    ContainerView view = ParseContainer(compressed);
-    const auto algorithm = static_cast<Algorithm>(view.header.algorithm);
-    const PipelineSpec& spec = GetPipeline(algorithm);
-
-    if (spec.pre.decode == nullptr) {
-        // No whole-input stage: chunks decode straight into the result.
-        FPC_PARSE_CHECK(
-            view.header.transformed_size == view.header.original_size,
-            "transformed size mismatch for pre-stage-free algorithm");
-        Bytes out(view.header.original_size);
-        decode_chunks(view, spec, out.data());
-        CheckContent(view.header, ByteSpan(out));
-        return out;
-    }
-
-    // FCM (the only pre-stage) always expands, so a valid container's
-    // declared original size never exceeds its transformed size. Check
-    // before reserving `out` so a forged original_size cannot drive an
-    // allocation beyond the file-bounded transformed stream.
-    FPC_PARSE_CHECK_AT(
-        view.header.original_size <= view.header.transformed_size,
-        "original size exceeds transformed size", "container", 8);
-    const auto work = TransformedBuffer(view);
-    decode_chunks(view, spec, work.get());
-    Bytes out;
-    out.reserve(view.header.original_size);
-    pre_decode(spec, ByteSpan(work.get(), view.header.transformed_size),
-               out);
-    CheckContent(view.header, ByteSpan(out));
+    const ContainerView view = ParseContainer(compressed);
+    const PipelineSpec& spec = FrameSpec(view);
+    CheckSizes(view.header, spec);
+    Bytes out(view.header.original_size);
+    DecodeView(view, spec, out, decode_chunks, pre_decode);
     return out;
 }
 
@@ -169,38 +326,33 @@ RunDecompressInto(ByteSpan compressed, std::span<std::byte> out,
                   const DecodeChunksFn& decode_chunks,
                   const PreDecodeFn& pre_decode)
 {
-    ContainerView view = ParseContainer(compressed);
-    const auto algorithm = static_cast<Algorithm>(view.header.algorithm);
-    const PipelineSpec& spec = GetPipeline(algorithm);
+    const ContainerView view = ParseContainer(compressed);
+    const PipelineSpec& spec = FrameSpec(view);
     if (out.size() != view.header.original_size) {
         throw UsageError("DecompressInto: output span must be exactly " +
                          std::to_string(view.header.original_size) +
                          " bytes");
     }
+    CheckSizes(view.header, spec);
+    DecodeView(view, spec, out, decode_chunks, pre_decode);
+}
 
-    if (spec.pre.decode == nullptr) {
-        FPC_PARSE_CHECK(
-            view.header.transformed_size == view.header.original_size,
-            "transformed size mismatch for pre-stage-free algorithm");
-        decode_chunks(view, spec, out.data());
-    } else {
-        FPC_PARSE_CHECK_AT(
-            view.header.original_size <= view.header.transformed_size,
-            "original size exceeds transformed size", "container", 8);
-        // The whole-input pre-stage needs the full transformed stream.
-        const auto work = TransformedBuffer(view);
-        decode_chunks(view, spec, work.get());
-        Bytes restored;
-        restored.reserve(out.size());
-        pre_decode(spec, ByteSpan(work.get(), view.header.transformed_size),
-                   restored);
-        FPC_PARSE_CHECK(restored.size() == out.size(),
-                        "decompressed size mismatch");
-        std::memcpy(out.data(), restored.data(), out.size());
-    }
-    FPC_PARSE_CHECK(Checksum64(ByteSpan(out.data(), out.size())) ==
-                        view.header.checksum,
-                    "content checksum mismatch");
+Bytes
+RunDecompressSerial(ByteSpan compressed, ScratchArena& scratch)
+{
+    return RunDecompress(
+        compressed,
+        [&scratch](const ContainerView& view, const PipelineSpec& spec,
+                   std::byte* dest) {
+            for (size_t c = 0; c < view.header.chunk_count; ++c) {
+                DecodeChunkAt(view, spec, c, dest, scratch, &DecodeChunk);
+            }
+        },
+        [&scratch](const PipelineSpec& spec, ByteSpan transformed,
+                   std::span<std::byte> out) {
+            DecodePreStage(spec, transformed, out, scratch, nullptr,
+                           nullptr);
+        });
 }
 
 size_t
@@ -254,71 +406,6 @@ MakeChunkRangeView(const ContainerPrefix& prefix, size_t first_chunk,
     FPC_CHECK(payload.size() == offset, "range payload size mismatch");
     view.payload = payload;
     return view;
-}
-
-Bytes
-RunDecompressSerial(ByteSpan compressed, ScratchArena& scratch)
-{
-    ContainerView view = ParseContainer(compressed);
-    const auto algorithm = static_cast<Algorithm>(view.header.algorithm);
-    const PipelineSpec& spec = GetPipeline(algorithm);
-    const size_t transformed_size = view.header.transformed_size;
-
-    const auto decode_all = [&](std::byte* dest) {
-        TelemetryShard* shard = scratch.Telemetry();
-        TraceRing* ring = shard != nullptr ? shard->trace : nullptr;
-        for (uint32_t c = 0; c < view.header.chunk_count; ++c) {
-            if (ring != nullptr) ring->SetChunk(c);
-            const uint64_t t0 = shard != nullptr ? TelemetryNowNs() : 0;
-            ByteSpan payload = view.payload.subspan(view.chunk_offsets[c],
-                                                    view.chunk_sizes[c]);
-            DecodeChunk(ChunkSpec(view, spec, c), payload, view.chunk_raw[c],
-                        ChunkSlotAt(dest, transformed_size, c), scratch);
-            if (shard != nullptr) {
-                const uint64_t t1 = TelemetryNowNs();
-                shard->OnChunkDecode(t1 - t0);
-                if (ring != nullptr) {
-                    ring->Record(TraceSpanKind::kChunk, kTraceDecode, 0, c,
-                                 t0, t1);
-                }
-            }
-        }
-    };
-
-    if (spec.pre.decode == nullptr) {
-        FPC_PARSE_CHECK(
-            view.header.transformed_size == view.header.original_size,
-            "transformed size mismatch for pre-stage-free algorithm");
-        Bytes out(view.header.original_size);
-        decode_all(out.data());
-        CheckContent(view.header, ByteSpan(out));
-        return out;
-    }
-
-    FPC_PARSE_CHECK_AT(
-        view.header.original_size <= view.header.transformed_size,
-        "original size exceeds transformed size", "container", 8);
-    Bytes work(view.header.transformed_size);
-    decode_all(work.data());
-    Bytes out;
-    out.reserve(view.header.original_size);
-    {
-        TelemetryShard* shard = scratch.Telemetry();
-        const uint64_t t0 = shard != nullptr ? TelemetryNowNs() : 0;
-        spec.pre.decode(ByteSpan(work), out, scratch);
-        if (shard != nullptr) {
-            const uint64_t t1 = TelemetryNowNs();
-            shard->OnStageDecode(spec.pre.id, work.size(), out.size(),
-                                 t1 - t0);
-            if (shard->trace != nullptr) {
-                shard->trace->Record(TraceSpanKind::kPre, kTraceDecode,
-                                     static_cast<uint8_t>(spec.pre.id), 0,
-                                     t0, t1);
-            }
-        }
-    }
-    CheckContent(view.header, ByteSpan(out));
-    return out;
 }
 
 }  // namespace fpc

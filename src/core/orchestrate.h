@@ -4,24 +4,29 @@
  * (core/executor.h). The paper's container pipeline is the same on both
  * device paths — partition the transformed stream into 16 KiB chunks,
  * encode each chunk independently (raw fallback when a chunk expands),
- * prefix-sum the compressed sizes into write positions, and place every
- * payload behind one container prefix — and only the *scheduling* of the
- * chunk work differs (OpenMP parallel-for vs simulated grid launch with
- * decoupled look-back). This file owns everything except the scheduling,
- * so the executors cannot drift apart: identical partition math, identical
- * chunk tables, identical prefix bytes, identical checksum policy.
+ * resolve each chunk's write position with the decoupled look-back, and
+ * copy its payload once into the one container buffer — and only the
+ * *scheduling* of the chunk work differs (OpenMP parallel-for vs
+ * simulated grid launch). This file owns everything except the
+ * scheduling, so the executors cannot drift apart: identical partition
+ * math, identical chunk tables, identical prefix bytes, identical
+ * checksum policy, one decompress driver.
  */
 #ifndef FPC_CORE_ORCHESTRATE_H
 #define FPC_CORE_ORCHESTRATE_H
 
+#include <atomic>
+#include <exception>
 #include <functional>
-#include <memory>
+#include <mutex>
 
+#include "core/adaptive.h"
 #include "core/arena.h"
 #include "core/container.h"
 #include "core/pipeline.h"
 #include "core/types.h"
 #include "util/common.h"
+#include "util/scan.h"
 
 namespace fpc {
 
@@ -49,65 +54,92 @@ ChunkSlotAt(std::byte* dest, size_t transformed_size, size_t c)
     return {dest + begin, std::min(kChunkSize, transformed_size - begin)};
 }
 
+/** A backend's chunk decoder (DecodeChunk / gpusim::DecodeChunkDevice). */
+using ChunkDecodeFn = void (*)(const PipelineSpec&, ByteSpan, bool,
+                               std::span<std::byte>, ScratchArena&);
+
 /**
- * Pass-1 results of a parallel chunk encode: per-chunk stored size, raw
- * flag, and where the payload lives until assembly (the owning worker's
- * arena-retained buffer and the payload's offset within it). Workers fill
- * disjoint chunk indices, so no synchronisation is needed beyond the
- * scheduler's own join.
+ * The container of one chunk-parallel encode, written in a single pass
+ * (paper Section 3). The buffer is sized by an upper bound — container
+ * prefix plus the transformed size, since the raw fallback caps every
+ * chunk at its input size — and left uninitialised. Each chunk publishes
+ * its size to a decoupled look-back (util/scan.h) and its payload is
+ * copied once, from the worker's arena straight to its final offset.
+ *
+ * A chunk that finishes before a predecessor has published cannot know
+ * its offset yet. Rather than wait, its worker parks the payload (a
+ * pointer for a raw chunk, a copy otherwise) and places it once the
+ * predecessors are in: at its next chunk, or at Finish. Workers thus
+ * never stall on each other, and parking stays rare and short.
+ * Workers write disjoint chunk indices and byte ranges; nothing else is
+ * synchronised before the scheduler's join.
  */
-struct EncodePlan {
-    struct Ref {
-        uint32_t worker = 0;
-        size_t offset = 0;
+class EncodePlan {
+ public:
+    /** Plan for @p chunk_src (the transformed stream, or the input when
+     *  the pipeline has no whole-input stage), encoded by one worker per
+     *  arena of @p arenas; @p adaptive records a per-chunk algorithm id
+     *  (container v3). */
+    EncodePlan(ByteSpan chunk_src, bool adaptive,
+               std::span<ScratchArena> arenas);
+
+    size_t ChunkCount() const { return sizes_.size(); }
+
+    /**
+     * Encode chunk @p c on worker @p worker's arena with @p encode
+     * (adaptively for an adaptive plan) and place its payload. Any chunk
+     * order is correct; the schedulers' index order keeps parking rare.
+     * Times the chunk into the arena's telemetry shard and trace ring:
+     * the chunk span covers encode and placement, unless @p block_span,
+     * in which case (a grid launch) the chunk span is the encode alone
+     * and a block span covers the look-back hand-off as well.
+     */
+    void EncodeChunkAt(size_t c, size_t worker, const PipelineSpec& spec,
+                       ChunkEncodeFn encode, bool block_span = false);
+
+    /**
+     * Place any parked payloads, write the container header (an input of
+     * @p original_size bytes compressed with @p algorithm, whose
+     * Checksum64 is @p checksum) and the chunk table in front of the
+     * payloads, and return the container, trimmed to its size without
+     * reallocating. The unused capacity is never written, so in a fresh
+     * mapping it costs address space but no resident memory.
+     * Byte-identical whatever scheduler placed the chunks. Call once,
+     * after the scheduler's join.
+     */
+    Bytes Finish(Algorithm algorithm, size_t original_size,
+                 uint64_t checksum);
+
+ private:
+    /** A worker's payloads still waiting for their offsets, in the order
+     *  it encoded them. Cache-line aligned: each worker writes only its
+     *  own. */
+    struct alignas(64) Parked {
+        struct Entry {
+            size_t chunk;
+            size_t offset;  ///< into bytes; unused for a raw chunk
+            bool raw;
+        };
+        std::vector<Entry> entries;
+        Bytes bytes;
     };
 
-    explicit EncodePlan(size_t n_chunks)
-        : raw_flags(n_chunks, 0), sizes(n_chunks, 0), refs(n_chunks) {}
+    /** Place @p worker's parked payloads whose offsets resolve; true when
+     *  none is left. */
+    bool PlaceParked(Parked& parked);
+    void Copy(size_t c, uint64_t offset, const std::byte* payload);
 
-    /** Record chunk @p c's encoded @p payload: appends it to @p scratch's
-     *  retained buffer (which must belong to @p worker) and notes the
-     *  (worker, offset, size, raw) tuple for pass 2. */
-    void
-    Record(size_t c, uint32_t worker, ByteSpan payload, bool raw,
-           ScratchArena& scratch)
-    {
-        raw_flags[c] = raw ? 1 : 0;
-        sizes[c] = static_cast<uint32_t>(payload.size());
-        Bytes& retained = scratch.Retained();
-        refs[c] = {worker, retained.size()};
-        AppendBytes(retained, payload);
-    }
-
-    size_t ChunkCount() const { return sizes.size(); }
-
-    std::vector<uint8_t> raw_flags;
-    std::vector<uint32_t> sizes;
-    std::vector<Ref> refs;
-    /** Per-chunk algorithm ids of an adaptive (mode=auto) encode, filled
-     *  by the scheduler next to each Record call; sized by
-     *  EnableAdaptive, empty for fixed-algorithm encodes. */
-    std::vector<uint8_t> algorithm_ids;
-
-    void EnableAdaptive() { algorithm_ids.assign(sizes.size(), 0); }
+    ByteSpan chunk_src_;
+    bool adaptive_;
+    std::span<ScratchArena> arenas_;
+    std::vector<uint8_t> raw_flags_;
+    std::vector<uint32_t> sizes_;
+    std::vector<uint8_t> algorithm_ids_;  ///< adaptive plans only
+    std::vector<Parked> parked_;          ///< one per worker
+    DecoupledLookback lookback_;
+    size_t prefix_size_;
+    Bytes out_;
 };
-
-/** Container header for @p input compressed with @p algorithm (computes
- *  the content checksum). */
-ContainerHeader MakeContainerHeader(Algorithm algorithm, ByteSpan input,
-                                    size_t transformed_size);
-
-/** The pre-stage-free algorithm of @p algorithm's element width —
- *  kSPspeed for 4-byte, kDPspeed for 8-byte — recorded as the
- *  representative in a v3 header (the per-chunk id table holds the real
- *  decisions). */
-Algorithm AdaptiveRepresentative(Algorithm algorithm);
-
-/** Version-3 header for an adaptive encode of @p input: the width
- *  representative of @p algorithm, transformed == original (adaptive
- *  containers never run a whole-input pre-stage). */
-ContainerHeader MakeAdaptiveContainerHeader(Algorithm algorithm,
-                                            ByteSpan input);
 
 /** The pipeline that decodes chunk @p c of @p view: the recorded
  *  per-chunk pipeline for a v3 view, @p frame_spec otherwise. */
@@ -121,39 +153,64 @@ ChunkSpec(const ContainerView& view, const PipelineSpec& frame_spec,
                      static_cast<Algorithm>(view.chunk_algorithms[c]));
 }
 
-/** Final payload write positions: exclusive prefix sum over the stored
- *  chunk sizes. The device path computes the same offsets with the
- *  decoupled look-back instead and passes them to AssembleContainer. */
-struct WritePositions {
-    std::vector<uint64_t> offsets;  ///< payload-relative, per chunk
-    uint64_t total = 0;             ///< payload bytes overall
-};
-WritePositions ComputeWritePositions(const std::vector<uint32_t>& sizes);
-
-/**
- * Pass 2: write the container prefix (header + chunk table), then place
- * every retained payload at its prefix-summed offset. Placement is
- * embarrassingly parallel; @p threads > 1 distributes the memcpys (pass 0
- * or 1 for serial placement). The result is byte-identical regardless of
- * @p threads or of which scheduler produced @p plan — that is the
- * cross-device bit-identity the paper claims, and tests assert.
- */
-Bytes AssembleContainer(const ContainerHeader& header,
-                        const EncodePlan& plan,
-                        std::span<const uint64_t> offsets, uint64_t total,
-                        std::span<ScratchArena> arenas, int threads);
-
 /**
  * Run @p spec's whole-input stage (FCM) over @p input, with
- * scratch.StageThreads() threads, into a new buffer owned by @p work, and
- * return the transformed stream. The buffer is left uninitialised —
+ * scratch.StageThreads() threads, into @p work, and return the
+ * transformed stream. @p work is resized uninitialised —
  * Stage::encode_into writes every byte — so its pages are first touched
  * by the stage's threads, not by a serial zero-fill. The stage's
  * telemetry and trace span go to @p shard when it is non-null.
  */
 ByteSpan EncodePreStage(const PipelineSpec& spec, ByteSpan input,
                         ScratchArena& scratch, TelemetryShard* shard,
-                        std::unique_ptr<std::byte[]>& work);
+                        Bytes& work);
+
+/**
+ * Decode chunk @p c of @p view with @p decode on @p scratch into its slot
+ * of @p dest, timing it into the arena's telemetry shard and trace ring
+ * (a chunk span; with @p block_span, a grid launch's block span over the
+ * same extent as well).
+ */
+void DecodeChunkAt(const ContainerView& view, const PipelineSpec& spec,
+                   size_t c, std::byte* dest, ScratchArena& scratch,
+                   ChunkDecodeFn decode, bool block_span = false);
+
+/**
+ * The first exception thrown inside a parallel chunk loop: workers skip
+ * their remaining chunks once one is captured, and Rethrow() reports it
+ * after the join as a CorruptStreamError (keeping stage/offset context).
+ */
+class FirstError {
+ public:
+    bool Raised() const { return raised_.load(std::memory_order_relaxed); }
+
+    /** Record the exception in flight; call from a catch block. */
+    void
+    Capture() noexcept
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (!raised_.exchange(true)) error_ = std::current_exception();
+    }
+
+    void Rethrow() const;
+
+ private:
+    std::atomic<bool> raised_{false};
+    std::mutex mutex_;
+    std::exception_ptr error_;
+};
+
+/**
+ * Run @p spec's whole-input stage decode (FCM) over @p transformed into
+ * @p out, which must be exactly the decoded size and may be
+ * uninitialised. Its stage counters and span go to @p scratch's
+ * telemetry shard when one is attached (a streaming-pool worker), and
+ * otherwise straight to @p sink / @p trace: the executors run it outside
+ * any chunk run scope.
+ */
+void DecodePreStage(const PipelineSpec& spec, ByteSpan transformed,
+                    std::span<std::byte> out, ScratchArena& scratch,
+                    Telemetry* sink, TraceSink* trace);
 
 /** Executor hook: decode every chunk of @p view into @p dest, which is
  *  sized view.header.transformed_size and may be uninitialised: the hook
@@ -161,26 +218,29 @@ ByteSpan EncodePreStage(const PipelineSpec& spec, ByteSpan input,
 using DecodeChunksFn = std::function<void(
     const ContainerView& view, const PipelineSpec& spec, std::byte* dest)>;
 
-/** Executor hook: the whole-input pre-stage decode (FCM for DPratio).
- *  Only invoked when spec.pre.decode is set. */
+/** Executor hook: the whole-input pre-stage decode (FCM for DPratio) of
+ *  @p transformed into exactly-sized, possibly uninitialised @p out
+ *  (DecodePreStage). Only invoked when the pipeline has a pre-stage. */
 using PreDecodeFn = std::function<void(
-    const PipelineSpec& spec, ByteSpan transformed, Bytes& out)>;
+    const PipelineSpec& spec, ByteSpan transformed, std::span<std::byte> out)>;
 
 /**
- * Shared decompression driver: parse + validate the container, decode the
- * chunks through @p decode_chunks (directly into the result when the
- * algorithm has no whole-input stage), run @p pre_decode otherwise, and
- * verify the size and content checksum. Throws CorruptStreamError on any
- * mismatch.
+ * The one decompression driver: parse + validate the container, decode
+ * the chunks through @p decode_chunks straight into @p out when the
+ * algorithm has no whole-input stage, or into a transformed-stream buffer
+ * that @p pre_decode then decodes into @p out, and verify the content
+ * checksum. @p out must be exactly original_size bytes (UsageError
+ * otherwise) and may be uninitialised: every byte is written before the
+ * checksum reads it. Throws CorruptStreamError on any mismatch.
  */
-Bytes RunDecompress(ByteSpan compressed, const DecodeChunksFn& decode_chunks,
-                    const PreDecodeFn& pre_decode);
-
-/** RunDecompress into caller-owned memory of exactly original_size bytes
- *  (throws UsageError otherwise). */
 void RunDecompressInto(ByteSpan compressed, std::span<std::byte> out,
                        const DecodeChunksFn& decode_chunks,
                        const PreDecodeFn& pre_decode);
+
+/** RunDecompressInto on a new, uninitialised buffer of the container's
+ *  original size (bounded by the validated header before allocating). */
+Bytes RunDecompress(ByteSpan compressed, const DecodeChunksFn& decode_chunks,
+                    const PreDecodeFn& pre_decode);
 
 /**
  * Synthetic sub-container over chunks [@p first_chunk, @p chunk_end) of a
@@ -201,11 +261,11 @@ size_t ChunkRangeBytes(size_t transformed_size, size_t first_chunk,
                        size_t chunk_end);
 
 /**
- * Fully serial RunDecompress twin for streaming-pool workers: every chunk
- * (and the pre-stage, when the algorithm has one) decodes on the calling
- * thread against one persistent @p scratch arena, so a worker's buffers
- * stay warm across frames. Telemetry flows through the shard attached to
- * @p scratch, if any — the pool merges shards once, at join.
+ * RunDecompress on one thread for streaming-pool workers: every chunk,
+ * and the pre-stage when the algorithm has one, decodes on the calling
+ * thread against the caller's persistent @p scratch arena, so a worker's
+ * buffers stay warm across frames. Telemetry flows through the shard
+ * attached to @p scratch, if any — the pool merges shards once, at join.
  */
 Bytes RunDecompressSerial(ByteSpan compressed, ScratchArena& scratch);
 

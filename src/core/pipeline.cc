@@ -49,7 +49,7 @@ const PipelineSpec kDpRatio{
     "DPratio",
     Algorithm::kDPratio,
     8,
-    {"FCM", StageId::kFcm, tf::FcmEncode, tf::FcmDecode, nullptr,
+    {"FCM", StageId::kFcm, tf::FcmEncode, tf::FcmDecode, tf::FcmDecodeInto,
      tf::FcmEncodedSize, tf::FcmEncodeInto},
     {
         {"DIFFMS", StageId::kDiffms, tf::DiffmsEncode64, tf::DiffmsDecode64,
@@ -69,7 +69,8 @@ const PipelineSpec kDpRatioChunked{
     8,
     {},
     {
-        {"FCM", StageId::kFcm, tf::FcmEncode, tf::FcmDecode},
+        {"FCM", StageId::kFcm, tf::FcmEncode, tf::FcmDecode,
+         tf::FcmDecodeInto},
         {"DIFFMS", StageId::kDiffms, tf::DiffmsEncode64, tf::DiffmsDecode64,
          tf::DiffmsDecodeInto64},
         {"RAZE", StageId::kRaze, tf::RazeEncode64, tf::RazeDecode64},

@@ -1,18 +1,14 @@
 #include "gpusim/launch.h"
 
-#include <atomic>
-#include <exception>
-
 #ifdef _OPENMP
 #include <omp.h>
 #endif
 
-#include "core/adaptive.h"
 #include "core/arena.h"
 #include "core/orchestrate.h"
 #include "core/telemetry.h"
 #include "gpusim/kernels.h"
-#include "gpusim/primitives.h"
+#include "util/hash.h"
 
 namespace fpc::gpusim {
 
@@ -47,72 +43,23 @@ DecodeChunksOn(const Device& device, Telemetry* sink, TraceSink* trace)
     return [&device, sink, trace](const ContainerView& view,
                                   const PipelineSpec& spec,
                                   std::byte* dest) {
-        const size_t transformed_size = view.header.transformed_size;
         std::vector<ScratchArena> arenas(MaxLaunchWorkers());
         TelemetryRunScope scope(sink, trace, MaxLaunchWorkers());
         scope.HintChunks(view.header.chunk_count);
         scope.Attach(arenas);
-        std::atomic<bool> failed{false};
-        std::exception_ptr first_error;
-#ifdef _OPENMP
-        omp_lock_t error_lock;
-        omp_init_lock(&error_lock);
-#endif
+        FirstError error;
         device.Launch(view.header.chunk_count, [&](ThreadBlock& block) {
-            if (failed.load(std::memory_order_relaxed)) return;
-            const size_t c = block.BlockId();
+            if (error.Raised()) return;
             try {
-                ScratchArena& scratch = arenas[LaunchWorkerId()];
-                TelemetryShard* shard = scratch.Telemetry();
-                TraceRing* ring = shard != nullptr ? shard->trace : nullptr;
-                if (ring != nullptr) ring->SetChunk(c);
-                const uint64_t t0 = shard != nullptr ? TelemetryNowNs() : 0;
-                DecodeChunkDevice(
-                    ChunkSpec(view, spec, c),
-                    view.payload.subspan(view.chunk_offsets[c],
-                                         view.chunk_sizes[c]),
-                    view.chunk_raw[c],
-                    ChunkSlotAt(dest, transformed_size, c), scratch);
-                if (shard != nullptr) {
-                    const uint64_t t1 = TelemetryNowNs();
-                    shard->OnChunkDecode(t1 - t0);
-                    if (ring != nullptr) {
-                        // The decode block body is the chunk decode, so
-                        // the block span shares the chunk span's extent.
-                        ring->Record(TraceSpanKind::kBlock, kTraceDecode,
-                                     0, c, t0, t1);
-                        ring->Record(TraceSpanKind::kChunk, kTraceDecode,
-                                     0, c, t0, t1);
-                    }
-                }
+                DecodeChunkAt(view, spec, block.BlockId(), dest,
+                              arenas[LaunchWorkerId()], &DecodeChunkDevice,
+                              /*block_span=*/true);
             } catch (...) {
-#ifdef _OPENMP
-                omp_set_lock(&error_lock);
-#endif
-                if (!failed.exchange(true)) {
-                    first_error = std::current_exception();
-                }
-#ifdef _OPENMP
-                omp_unset_lock(&error_lock);
-#endif
+                error.Capture();
             }
         });
-#ifdef _OPENMP
-        omp_destroy_lock(&error_lock);
-#endif
         scope.Finish(arenas);
-        if (failed.load()) {
-            // Rethrow the first failure so stage/offset context in a
-            // CorruptStreamError survives the launch, matching the CPU
-            // executor's error reporting.
-            try {
-                std::rethrow_exception(first_error);
-            } catch (const CorruptStreamError&) {
-                throw;
-            } catch (const std::exception& e) {
-                throw CorruptStreamError(e.what());
-            }
-        }
+        error.Rethrow();
     };
 }
 
@@ -122,32 +69,10 @@ PreDecodeFn
 DevicePreDecode(Telemetry* sink, TraceSink* trace)
 {
     return [sink, trace](const PipelineSpec& spec, ByteSpan transformed,
-                         Bytes& out) {
+                         std::span<std::byte> out) {
         ScratchArena pre_scratch;
         pre_scratch.SetStageThreads(static_cast<int>(MaxLaunchWorkers()));
-        if (sink == nullptr && trace == nullptr) {
-            spec.pre.decode(transformed, out, pre_scratch);
-            return;
-        }
-        const uint64_t t0 = TelemetryNowNs();
-        spec.pre.decode(transformed, out, pre_scratch);
-        const uint64_t t1 = TelemetryNowNs();
-        if (sink != nullptr) {
-            TelemetryShard shard;
-            shard.OnStageDecode(spec.pre.id, transformed.size(), out.size(),
-                                t1 - t0);
-            sink->Merge(shard);
-        }
-        if (trace != nullptr) {
-            TraceSpan span;
-            span.start_ns = t0;
-            span.dur_ns = t1 - t0;
-            span.worker = 0;  // runs on the orchestrating thread
-            span.kind = TraceSpanKind::kPre;
-            span.dir = kTraceDecode;
-            span.stage = static_cast<uint8_t>(spec.pre.id);
-            trace->Record(span);
-        }
+        DecodePreStage(spec, transformed, out, pre_scratch, sink, trace);
     };
 }
 
@@ -162,7 +87,7 @@ CompressOnDevice(const Device& device, Algorithm algorithm, ByteSpan input,
 
     // Adaptive encodes never run a whole-input pre-stage: each block
     // picks its chunk's (possibly FCM-chunked) pipeline below.
-    std::unique_ptr<std::byte[]> work;
+    Bytes work;
     ByteSpan chunk_src = input;
     if (!adaptive && spec.pre.encode != nullptr) {
         // The whole-input stage spans the device: one thread per worker
@@ -173,61 +98,19 @@ CompressOnDevice(const Device& device, Algorithm algorithm, ByteSpan input,
                                    scope.MainShard(), work);
     }
 
-    const size_t n_chunks = ChunkCountOf(chunk_src.size());
-    EncodePlan plan(n_chunks);
-    if (adaptive) plan.EnableAdaptive();
-    std::vector<uint64_t> offsets(n_chunks, 0);
-    DecoupledLookback lookback(n_chunks);
     std::vector<ScratchArena> arenas(MaxLaunchWorkers());
-    scope.HintChunks(n_chunks);
+    EncodePlan plan(chunk_src, adaptive, arenas);
+    scope.HintChunks(plan.ChunkCount());
     scope.Attach(arenas);
 
     // One thread block per chunk; after encoding, each block publishes its
-    // compressed size and resolves its write position by looking back.
-    device.Launch(n_chunks, [&](ThreadBlock& block) {
-        const size_t c = block.BlockId();
-        ScratchArena& scratch = arenas[LaunchWorkerId()];
-        TelemetryShard* shard = scratch.Telemetry();
-        TraceRing* ring = shard != nullptr ? shard->trace : nullptr;
-        if (ring != nullptr) ring->SetChunk(c);
-        const uint64_t t0 = shard != nullptr ? TelemetryNowNs() : 0;
-        bool raw = false;
-        ByteSpan payload;
-        if (adaptive) {
-            uint8_t id = 0;
-            payload = EncodeChunkAuto(ChunkAt(chunk_src, c), raw, id,
-                                      scratch, &EncodeChunkDevice);
-            plan.algorithm_ids[c] = id;
-        } else {
-            payload = EncodeChunkDevice(spec, ChunkAt(chunk_src, c), raw,
-                                        scratch);
-        }
-        plan.Record(c, static_cast<uint32_t>(LaunchWorkerId()), payload,
-                    raw, scratch);
-        const uint64_t t1 = shard != nullptr ? TelemetryNowNs() : 0;
-        lookback.PublishAggregate(c, payload.size());
-        offsets[c] = lookback.ResolvePrefix(c);
-        if (shard != nullptr) {
-            shard->OnChunkEncode(t1 - t0);
-            if (ring != nullptr) {
-                ring->Record(TraceSpanKind::kChunk, kTraceEncode, 0, c, t0,
-                             t1);
-                // Block span additionally covers the look-back hand-off.
-                ring->Record(TraceSpanKind::kBlock, kTraceEncode, 0, c, t0,
-                             TelemetryNowNs());
-            }
-        }
+    // compressed size, resolves its write position by looking back, and
+    // copies its payload there — the cpu executor's placement.
+    device.Launch(plan.ChunkCount(), [&](ThreadBlock& block) {
+        plan.EncodeChunkAt(block.BlockId(), LaunchWorkerId(), spec,
+                           &EncodeChunkDevice, /*block_span=*/true);
     });
-
-    const ContainerHeader header =
-        adaptive ? MakeAdaptiveContainerHeader(algorithm, input)
-                 : MakeContainerHeader(algorithm, input, chunk_src.size());
-    uint64_t total = 0;
-    for (uint32_t size : plan.sizes) total += size;
-    // Placement at the look-back-resolved positions; bytes are identical
-    // to the CPU executor's prefix-sum placement (tests assert).
-    Bytes out = AssembleContainer(header, plan, offsets, total, arenas,
-                                  /*threads=*/1);
+    Bytes out = plan.Finish(algorithm, input.size(), Checksum64(input));
     scope.Finish(arenas);
     return out;
 }

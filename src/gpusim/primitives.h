@@ -1,15 +1,12 @@
 /**
  * @file
  * Warp- and block-level collective primitives on the execution model:
- * the shuffle exchange, ballot, reductions, hierarchical block scan, and
- * Merrill & Garland's decoupled look-back single-pass scan [28], which the
- * paper uses to communicate compressed-chunk write positions between
- * thread blocks.
+ * the shuffle exchange, ballot, reductions and hierarchical block scan.
+ * The decoupled look-back scan that places compressed chunks is shared
+ * with the cpu executor and lives in util/scan.h.
  */
 #ifndef FPC_GPUSIM_PRIMITIVES_H
 #define FPC_GPUSIM_PRIMITIVES_H
-
-#include <atomic>
 
 #include "gpusim/device.h"
 
@@ -130,65 +127,6 @@ BlockExclusiveScan(ThreadBlock& block, std::span<T> values)
     (void)block;
     return running;
 }
-
-/**
- * Decoupled look-back single-pass scan over per-block values [28]:
- * each block publishes its aggregate, then resolves its exclusive prefix
- * by inspecting predecessors' states (AGGREGATE vs PREFIX), falling back
- * at most a few steps in practice.
- */
-class DecoupledLookback {
- public:
-    explicit DecoupledLookback(size_t num_blocks)
-        : states_(num_blocks), aggregates_(num_blocks),
-          prefixes_(num_blocks)
-    {
-        for (auto& s : states_) s.store(kEmpty, std::memory_order_relaxed);
-    }
-
-    /** Block @p b publishes its local @p aggregate. */
-    void
-    PublishAggregate(size_t b, uint64_t aggregate)
-    {
-        aggregates_[b] = aggregate;
-        states_[b].store(kAggregate, std::memory_order_release);
-    }
-
-    /**
-     * Block @p b resolves its exclusive prefix by looking back over
-     * predecessors; publishes its inclusive prefix for successors.
-     */
-    uint64_t
-    ResolvePrefix(size_t b)
-    {
-        uint64_t exclusive = 0;
-        size_t look = b;
-        while (look > 0) {
-            --look;
-            unsigned state = states_[look].load(std::memory_order_acquire);
-            while (state == kEmpty) {
-                state = states_[look].load(std::memory_order_acquire);
-            }
-            if (state == kPrefix) {
-                exclusive += prefixes_[look];
-                break;
-            }
-            exclusive += aggregates_[look];
-        }
-        prefixes_[b] = exclusive + aggregates_[b];
-        states_[b].store(kPrefix, std::memory_order_release);
-        return exclusive;
-    }
-
- private:
-    static constexpr unsigned kEmpty = 0;
-    static constexpr unsigned kAggregate = 1;
-    static constexpr unsigned kPrefix = 2;
-
-    std::vector<std::atomic<unsigned>> states_;
-    std::vector<uint64_t> aggregates_;
-    std::vector<uint64_t> prefixes_;
-};
 
 /**
  * Warp-cooperative 32x32 bit-matrix transpose via shuffle-xor: lane i

@@ -85,7 +85,8 @@ class BodyReader {
     Bytes
     Rest()
     {
-        Bytes out(body_.begin() + static_cast<ptrdiff_t>(at_), body_.end());
+        Bytes out;
+        AppendBytes(out, ByteSpan(body_).subspan(at_));
         at_ = body_.size();
         return out;
     }

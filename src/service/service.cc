@@ -374,6 +374,7 @@ Service::WorkerLoop()
     for (;;) {
         Pending pending;
         TenantState* state = nullptr;
+        uint64_t dispatch_seq = 0;
         {
             std::unique_lock<std::mutex> lock(mutex_);
             work_cv_.wait(lock, [this] {
@@ -389,12 +390,14 @@ Service::WorkerLoop()
             pending = std::move(state->queue.front());
             state->queue.pop_front();
             --total_queued_;
+            dispatch_seq = ++dispatched_;
         }
         queue_depth_gauge_->Sub(1);
         in_flight_gauge_->Add(1);
 
         const uint64_t start_ns = TelemetryNowNs();
         ServiceResponse response = Execute(pending.request);
+        response.dispatch_seq = dispatch_seq;
         const uint64_t end_ns = TelemetryNowNs();
 
         in_flight_gauge_->Sub(1);

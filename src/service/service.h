@@ -113,6 +113,10 @@ struct ServiceResponse {
     Errc status = Errc::kOk;
     std::string error;
     Bytes payload;
+    /** 1-based order in which this Service's workers took the request off
+     *  its queue; in process only, not carried on the wire. Lets a caller
+     *  check dispatch order without racing the still-running workers. */
+    uint64_t dispatch_seq = 0;
 };
 
 /** Per-tenant quality-of-service limits. The zero value of each knob
@@ -287,6 +291,7 @@ class Service {
     std::vector<std::string> tenant_order_;  ///< round-robin ring
     size_t rr_next_ = 0;
     size_t total_queued_ = 0;
+    uint64_t dispatched_ = 0;  ///< ServiceResponse::dispatch_seq source
     bool paused_ = false;
     bool stopping_ = false;
     Counters counters_;

@@ -96,7 +96,7 @@ DecompressBitmap(ByteReader& br, size_t bitmap_size, ScratchArena& scratch)
     Bytes& result = scratch.BitmapLevel(0);
     if (levels.count == 1) {
         // No expansion ran; copy the final level into the result slot.
-        result.assign(cur.begin(), cur.end());
+        AssignBytes(result, cur);
     }
     FPC_PARSE_CHECK(result.size() == bitmap_size, "bitmap size mismatch");
     return result;

@@ -337,29 +337,49 @@ FcmEncodeImpl(ByteSpan in, std::span<std::byte> out, simd::Isa isa,
     });
 }
 
-void
-FcmDecodeImpl(ByteSpan in, Bytes& out, int max_threads)
+/** The validated wire layout of an FCM payload. */
+struct FcmLayout {
+    size_t orig_size = 0;
+    size_t n = 0;  ///< whole words
+    const std::byte* values = nullptr;
+    const std::byte* dists = nullptr;
+    ByteSpan tail;
+};
+
+FcmLayout
+ParseFcm(ByteSpan in)
 {
     ByteReader br(in, kStage);
-    const size_t orig_size = br.Get<uint64_t>();
-    const size_t n = orig_size / sizeof(uint64_t);
+    FcmLayout layout;
+    layout.orig_size = br.Get<uint64_t>();
+    const size_t n = layout.orig_size / sizeof(uint64_t);
     // Bound n by the actual payload first: for a huge wire-declared
     // orig_size the product in the equality check below would wrap and
     // could spuriously pass.
     FPC_PARSE_CHECK_AT(n <= br.Remaining() / (2 * sizeof(uint64_t)),
                        "FCM payload size mismatch", kStage, 0);
     FPC_PARSE_CHECK_AT(br.Remaining() == 2 * n * sizeof(uint64_t) +
-                                             orig_size % sizeof(uint64_t),
+                                             layout.orig_size %
+                                                 sizeof(uint64_t),
                        "FCM payload size mismatch", kStage, 0);
-    const std::byte* values = br.GetBytes(n * sizeof(uint64_t)).data();
-    const std::byte* dists = br.GetBytes(n * sizeof(uint64_t)).data();
-    const ByteSpan tail = br.Rest();
+    layout.n = n;
+    layout.values = br.GetBytes(n * sizeof(uint64_t)).data();
+    layout.dists = br.GetBytes(n * sizeof(uint64_t)).data();
+    layout.tail = br.Rest();
+    return layout;
+}
 
-    const size_t base = out.size();
-    out.resize(base + orig_size);
-    std::byte* dst = out.data() + base;
-    if (!tail.empty()) {
-        std::memcpy(dst + n * sizeof(uint64_t), tail.data(), tail.size());
+/** Decode @p layout into @p dst (orig_size bytes, may be uninitialised:
+ *  every byte is written, or the call throws). */
+void
+FcmDecodeImpl(const FcmLayout& layout, std::byte* dst, int max_threads)
+{
+    const size_t n = layout.n;
+    const std::byte* values = layout.values;
+    const std::byte* dists = layout.dists;
+    if (!layout.tail.empty()) {
+        std::memcpy(dst + n * sizeof(uint64_t), layout.tail.data(),
+                    layout.tail.size());
     }
 
     // Every distance points backwards, so resolving in index order is
@@ -432,9 +452,21 @@ FcmEncode(ByteSpan in, Bytes& out, ScratchArena& scratch)
 }
 
 void
+FcmDecodeInto(ByteSpan in, std::span<std::byte> out, ScratchArena& scratch)
+{
+    const FcmLayout layout = ParseFcm(in);
+    FPC_PARSE_CHECK_AT(layout.orig_size == out.size(), "FCM size mismatch",
+                       kStage, 0);
+    FcmDecodeImpl(layout, out.data(), scratch.StageThreads());
+}
+
+void
 FcmDecode(ByteSpan in, Bytes& out, ScratchArena& scratch)
 {
-    FcmDecodeImpl(in, out, scratch.StageThreads());
+    const FcmLayout layout = ParseFcm(in);
+    const size_t base = out.size();
+    out.resize(base + layout.orig_size);
+    FcmDecodeImpl(layout, out.data() + base, scratch.StageThreads());
 }
 
 void

@@ -62,7 +62,8 @@ RzeDecodeImpl(ByteSpan in, Bytes& out, ScratchArena& scratch)
     ByteSpan nonzero = br.GetBytes(nonzero_count);
 
     const size_t base = out.size();
-    out.resize(base + orig_size);  // zero bytes are the default
+    // Zeroed explicitly: the scatter writes only the nonzero positions.
+    out.resize(base + orig_size, std::byte{0});
     std::byte* dest = out.data() + base;
     // Every set bit consumes one payload byte; checking the total up
     // front (trailing padding bits masked off) lets the scatter kernel

@@ -69,6 +69,10 @@ void RzeDecode(ByteSpan in, Bytes& out, ScratchArena& scratch);
 // depend on the thread count.
 void FcmEncode(ByteSpan in, Bytes& out, ScratchArena& scratch);
 void FcmDecode(ByteSpan in, Bytes& out, ScratchArena& scratch);
+/** FcmDecode into exactly the decoded size (throws CorruptStreamError on
+ *  any other), writing every byte of possibly uninitialised @p out. */
+void FcmDecodeInto(ByteSpan in, std::span<std::byte> out,
+                   ScratchArena& scratch);
 /** Exact FcmEncode output size for an input of @p in_size bytes. */
 size_t FcmEncodedSize(size_t in_size);
 /** FcmEncode into exactly FcmEncodedSize(in.size()) bytes, writing every

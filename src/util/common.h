@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <new>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -22,7 +23,76 @@
 
 namespace fpc {
 
-using Bytes = std::vector<std::byte>;
+/** Buffers from this size up are allocated by AllocateLargeBuffer. It is
+ *  glibc's largest mmap threshold, so each such buffer is its own
+ *  mapping: aligning it costs no heap fragmentation, and its pages go
+ *  back to the system when it is freed. */
+inline constexpr size_t kLargeBuffer = size_t{32} << 20;
+
+/**
+ * Allocate @p bytes (>= kLargeBuffer) of uninitialised memory that starts
+ * on a page boundary, so the 16 KiB chunk slots that parallel workers
+ * fill cover whole pages: no two threads first-touch the same page (a
+ * page both fault on counts twice, and the second waits on the first).
+ * The buffer is advised to transparent huge pages where the kernel offers
+ * them: a codec output is written once, front to back, so one fault per
+ * 2 MiB replaces 512, and pages the codec never writes (the slack of an
+ * upper-bound container) stay unbacked. Throws std::bad_alloc. Release
+ * with FreeLargeBuffer.
+ */
+void* AllocateLargeBuffer(size_t bytes);
+void FreeLargeBuffer(void* p, size_t bytes) noexcept;
+
+/**
+ * std::allocator whose value-less construct() default-initialises, so a
+ * vector's `resize(n)` and `Bytes(n)` allocate without zero-filling (for
+ * trivial types default-initialisation is a no-op and the construct loop
+ * compiles away). Growth then costs no serial memset and no page touch
+ * before the first real write: an output buffer is first touched by the
+ * threads that fill it. Value-carrying construction (`resize(n, v)`,
+ * `Bytes(n, v)`, copies) is unchanged, so a site that reads bytes before
+ * writing them asks for zeros explicitly with `std::byte{0}`.
+ *
+ * Buffers of kLargeBuffer bytes or more come from AllocateLargeBuffer.
+ */
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+    using std::allocator<T>::allocator;
+
+    template <typename U>
+    struct rebind {
+        using other = DefaultInitAllocator<U>;
+    };
+
+    T*
+    allocate(size_t n)
+    {
+        if (n < kLargeBuffer / sizeof(T)) return std::allocator<T>::allocate(n);
+        return static_cast<T*>(AllocateLargeBuffer(n * sizeof(T)));
+    }
+
+    void
+    deallocate(T* p, size_t n) noexcept
+    {
+        if (n < kLargeBuffer / sizeof(T)) {
+            std::allocator<T>::deallocate(p, n);
+        } else {
+            FreeLargeBuffer(p, n * sizeof(T));
+        }
+    }
+
+    template <typename U>
+    void
+    construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>)
+    {
+        ::new (static_cast<void*>(p)) U;
+    }
+};
+
+/** Byte buffer of the codec. `Bytes(n)` / `resize(n)` leave the new bytes
+ *  uninitialised (DefaultInitAllocator); every such site writes each byte
+ *  before reading it, or zero-fills explicitly. */
+using Bytes = std::vector<std::byte, DefaultInitAllocator<std::byte>>;
 using ByteSpan = std::span<const std::byte>;
 
 /** Sentinel for "byte offset unknown" in CorruptStreamError. */
@@ -120,20 +190,34 @@ BitCastTo(const From& from)
     return to;
 }
 
+/** Append a span of bytes: an uninitialised resize plus one memcpy
+ *  (vector::insert would copy element by element under a non-std
+ *  allocator). */
+inline void
+AppendBytes(Bytes& out, ByteSpan span)
+{
+    if (span.empty()) return;
+    const size_t base = out.size();
+    out.resize(base + span.size());
+    std::memcpy(out.data() + base, span.data(), span.size());
+}
+
+/** Replace @p out's contents with @p span (one memcpy; vector::assign
+ *  would copy element by element under a non-std allocator). */
+inline void
+AssignBytes(Bytes& out, ByteSpan span)
+{
+    out.clear();
+    AppendBytes(out, span);
+}
+
 /** Append raw bytes of a trivially copyable value to a byte vector. */
 template <typename T>
 inline void
 AppendRaw(Bytes& out, const T& value)
 {
-    const auto* p = reinterpret_cast<const std::byte*>(&value);
-    out.insert(out.end(), p, p + sizeof(T));
-}
-
-/** Append a span of bytes. */
-inline void
-AppendBytes(Bytes& out, ByteSpan span)
-{
-    out.insert(out.end(), span.begin(), span.end());
+    AppendBytes(out, ByteSpan(reinterpret_cast<const std::byte*>(&value),
+                              sizeof(T)));
 }
 
 /** Read a trivially copyable value at a byte offset (bounds-checked). */

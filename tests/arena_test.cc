@@ -13,6 +13,7 @@
 #include <new>
 
 #include "core/arena.h"
+#include "core/codec.h"
 #include "core/pipeline.h"
 
 namespace {
@@ -57,6 +58,29 @@ operator delete(void* p, std::size_t) noexcept
 
 void
 operator delete[](void* p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+// Bytes buffers of kLargeBuffer bytes and more are page-aligned
+// (util/common.h AllocateLargeBuffer): count those too.
+void*
+operator new(std::size_t size, std::align_val_t align)
+{
+    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+    const auto a = static_cast<std::size_t>(align);
+    if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a)) return p;
+    throw std::bad_alloc();
+}
+
+void
+operator delete(void* p, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void* p, std::size_t, std::align_val_t) noexcept
 {
     std::free(p);
 }
@@ -216,6 +240,32 @@ TEST(ArenaTest, CapacityIsBoundedAndReported)
     // The arena holds a handful of chunk-sized buffers, not the input.
     EXPECT_GT(scratch.CapacityBytes(), 0u);
     EXPECT_LT(scratch.CapacityBytes(), 64 * kChunkSize);
+}
+
+/** A compress places each payload straight into the one container
+ *  buffer: with a warm pooled arena, its allocations are a fixed set of
+ *  per-call tables, whatever the chunk count — no per-worker buffer grows
+ *  with the input. One worker keeps the count deterministic (no chunk
+ *  ever waits on a predecessor, so none is parked). */
+TEST(ArenaTest, CompressAllocationsDoNotGrowWithChunkCount)
+{
+    ArenaPool pool;
+    const Options options = Options{}.with_threads(1).with_arenas(&pool);
+    const Bytes small = SmoothChunks(64);
+    const Bytes large = SmoothChunks(1024);
+    for (Algorithm algorithm : kAlgorithms) {
+        const auto allocations = [&](const Bytes& input) {
+            const size_t before = g_alloc_count.load();
+            const Bytes packed = Compress(algorithm, ByteSpan(input), options);
+            return g_alloc_count.load() - before;
+        };
+        // Warm the pool's arena on the small input only: a buffer that
+        // grew with the chunk count would allocate again for the large.
+        allocations(small);
+        const size_t for_small = allocations(small);
+        EXPECT_EQ(allocations(large), for_small)
+            << "algorithm " << static_cast<int>(algorithm);
+    }
 }
 
 }  // namespace

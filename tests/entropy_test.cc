@@ -21,7 +21,7 @@ Bytes
 MakeInput(const std::string& kind, size_t n, uint64_t seed)
 {
     Rng rng(seed);
-    Bytes data(n);
+    Bytes data(n, std::byte{0});
     if (kind == "random") {
         for (auto& b : data) b = static_cast<std::byte>(rng.Next() & 0xff);
     } else if (kind == "skewed") {

@@ -117,13 +117,18 @@ TEST(Primitives, DecoupledLookbackComputesPrefixes)
 
     DecoupledLookback lookback(n);
     std::vector<uint64_t> prefixes(n);
+    // A block whose predecessors have not all published cannot resolve,
+    // and the failed attempt changes nothing.
+    lookback.PublishAggregate(n - 1, aggregates[n - 1]);
+    lookback.PublishAggregate(0, aggregates[0]);
+    ASSERT_FALSE(lookback.TryResolvePrefix(n - 1, prefixes[n - 1]));
     // Publish in a scrambled order, then resolve in another order; the
     // protocol must still produce correct exclusive prefixes.
     for (size_t b = 0; b < n; ++b) {
         lookback.PublishAggregate(b, aggregates[b]);
     }
     for (size_t b = n; b-- > 0;) {
-        prefixes[b] = lookback.ResolvePrefix(b);
+        ASSERT_TRUE(lookback.TryResolvePrefix(b, prefixes[b]));
     }
     uint64_t running = 0;
     for (size_t b = 0; b < n; ++b) {

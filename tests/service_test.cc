@@ -8,6 +8,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <future>
 #include <sstream>
@@ -300,10 +301,7 @@ TEST(ServiceTest, RoundRobinKeepsFloodedTenantFromStarvingAnother)
     const TenantFacts b_before = ScrapeTenant("B");
     // One worker, paused: stage a 30-deep flood from A, then 5 requests
     // from B. Round-robin dispatch alternates A,B,A,B..., so B's last
-    // request completes while A still holds most of its backlog. The
-    // requests run the ratio pipeline over ~200 KB each, so the
-    // remaining backlog is many milliseconds of runway — the snapshot
-    // below races the worker by microseconds only.
+    // request is dispatched while A still holds most of its backlog.
     Service service(MakeConfig(1, 64, true));
     const Bytes payload = MakePayload();
     std::vector<std::future<ServiceResponse>> flood;
@@ -317,19 +315,25 @@ TEST(ServiceTest, RoundRobinKeepsFloodedTenantFromStarvingAnother)
             CompressRequest(payload, Algorithm::kSPratio, "", false, "B")));
     }
     service.Resume();
+    uint64_t b_last = 0;
     for (auto& future : polite) {
-        EXPECT_EQ(future.get().status, Errc::kOk);
+        const ServiceResponse response = future.get();
+        EXPECT_EQ(response.status, Errc::kOk);
+        b_last = std::max(b_last, response.dispatch_seq);
     }
-    // B is done; under strict alternation A has executed ~5-6 of 30.
-    // Allow slack for the worker racing ahead between .get() calls. A
-    // request's counters are bumped before its future is fulfilled. A
-    // is read first: it is the count the running worker still moves.
-    const TenantFacts a = ScrapeTenant("A") - a_before;
     ASSERT_EQ((ScrapeTenant("B") - b_before).ok, 5u);
-    EXPECT_LE(a.ok, 15u) << "flooding tenant starved the polite tenant";
+    // Count A's requests from dispatch order, not from a scrape taken
+    // while the worker keeps draining A's backlog: under strict
+    // alternation A,B,A,B... exactly 5 of A's run before B's last.
+    size_t a_before_b_done = 0;
     for (auto& future : flood) {
-        EXPECT_EQ(future.get().status, Errc::kOk);
+        const ServiceResponse response = future.get();
+        EXPECT_EQ(response.status, Errc::kOk);
+        if (response.dispatch_seq < b_last) ++a_before_b_done;
     }
+    EXPECT_EQ((ScrapeTenant("A") - a_before).ok, 30u);
+    EXPECT_LE(a_before_b_done, 15u)
+        << "flooding tenant starved the polite tenant";
 }
 
 TEST(ServiceTest, ArenaPoolWarmsUpAndPlateaus)

@@ -112,7 +112,7 @@ TEST(SimdKernels, NonzeroScanScatterMatchScalar)
         for (bool sparse : {false, true}) {
             const Bytes in = sparse ? SparseBytes(rng, n)
                                     : RandomBytes(rng, n);
-            Bytes ref_bitmap((n + 7) / 8);
+            Bytes ref_bitmap((n + 7) / 8, std::byte{0});
             Bytes ref_gathered(n);
             const size_t ref_count = simd::ScalarKernels().nonzero_scan(
                 in.data(), n, ref_bitmap.data(), ref_gathered.data());
@@ -120,7 +120,7 @@ TEST(SimdKernels, NonzeroScanScatterMatchScalar)
 
             for (Isa isa : kAllLevels) {
                 if (!simd::IsaAvailable(isa)) continue;
-                Bytes bitmap((n + 7) / 8);
+                Bytes bitmap((n + 7) / 8, std::byte{0});
                 Bytes gathered(n);
                 const size_t count = simd::Kernels(isa).nonzero_scan(
                     in.data(), n, bitmap.data(), gathered.data());
@@ -131,7 +131,7 @@ TEST(SimdKernels, NonzeroScanScatterMatchScalar)
                 EXPECT_EQ(gathered, ref_gathered)
                     << simd::IsaName(isa) << " n=" << n;
 
-                Bytes rebuilt(n);
+                Bytes rebuilt(n, std::byte{0});
                 const size_t consumed = simd::Kernels(isa).nonzero_scatter(
                     ref_bitmap.data(), n, ref_gathered.data(),
                     rebuilt.data());
@@ -153,7 +153,7 @@ TEST(SimdKernels, DiffScanExpandMatchScalar)
                 // Long runs of one value: the fast whole-mask-byte paths.
                 std::memset(in.data(), 0x5a, n / 2);
             }
-            Bytes ref_bits((n + 7) / 8);
+            Bytes ref_bits((n + 7) / 8, std::byte{0});
             Bytes ref_kept(n);
             const size_t ref_count = simd::ScalarKernels().diff_scan(
                 in.data(), n, ref_bits.data(), ref_kept.data());
@@ -161,7 +161,7 @@ TEST(SimdKernels, DiffScanExpandMatchScalar)
 
             for (Isa isa : kAllLevels) {
                 if (!simd::IsaAvailable(isa)) continue;
-                Bytes bits((n + 7) / 8);
+                Bytes bits((n + 7) / 8, std::byte{0});
                 Bytes kept(n);
                 const size_t count = simd::Kernels(isa).diff_scan(
                     in.data(), n, bits.data(), kept.data());
@@ -192,24 +192,24 @@ TEST(SimdKernels, PredicateBitmapsMatchScalar)
         const Bytes dense = RandomBytes(rng, nw * 8);
         for (const Bytes& in : {sparse, dense}) {
             for (unsigned k : {1u, 7u, 13u, 16u, 32u, 48u, 63u, 64u}) {
-                Bytes ref_top((nw + 7) / 8);
+                Bytes ref_top((nw + 7) / 8, std::byte{0});
                 const size_t ref_top_count =
                     simd::ScalarKernels().top_bitmap64(in.data(), nw, k,
                                                        ref_top.data());
-                Bytes ref_match((nw + 7) / 8);
+                Bytes ref_match((nw + 7) / 8, std::byte{0});
                 const size_t ref_match_count =
                     simd::ScalarKernels().match_bitmap64(in.data(), nw, k,
                                                          ref_match.data());
                 for (Isa isa : kAllLevels) {
                     if (!simd::IsaAvailable(isa)) continue;
-                    Bytes top((nw + 7) / 8);
+                    Bytes top((nw + 7) / 8, std::byte{0});
                     EXPECT_EQ(simd::Kernels(isa).top_bitmap64(
                                   in.data(), nw, k, top.data()),
                               ref_top_count)
                         << simd::IsaName(isa) << " nw=" << nw << " k=" << k;
                     EXPECT_EQ(top, ref_top)
                         << simd::IsaName(isa) << " nw=" << nw << " k=" << k;
-                    Bytes match((nw + 7) / 8);
+                    Bytes match((nw + 7) / 8, std::byte{0});
                     EXPECT_EQ(simd::Kernels(isa).match_bitmap64(
                                   in.data(), nw, k, match.data()),
                               ref_match_count)

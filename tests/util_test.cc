@@ -92,7 +92,7 @@ TEST(BitIo, ByteReaderNearSizeMaxLengthDoesNotWrap)
     // Regression: the bounds check used to be `pos_ + n <= size`, which
     // wraps for an attacker-declared length near SIZE_MAX (e.g. a corrupt
     // varint frame length) and hands subspan an out-of-range count.
-    Bytes buf(16);
+    Bytes buf(16, std::byte{0});
     ByteReader br{ByteSpan(buf)};
     br.GetBytes(8);
     EXPECT_THROW(br.GetBytes(SIZE_MAX), CorruptStreamError);
@@ -106,7 +106,7 @@ TEST(BitIo, ByteReaderNearSizeMaxLengthDoesNotWrap)
 
 TEST(BitIo, BitReaderBoundsDoNotWrapNearEnd)
 {
-    Bytes buf(8);
+    Bytes buf(8, std::byte{0});
     BitReader br{ByteSpan(buf)};
     br.Get(60);
     EXPECT_THROW(br.Get(5), CorruptStreamError);
@@ -116,7 +116,7 @@ TEST(BitIo, BitReaderBoundsDoNotWrapNearEnd)
 
 TEST(BitIo, ReaderErrorsCarryStageAndOffset)
 {
-    Bytes buf(4);
+    Bytes buf(4, std::byte{0});
     ByteReader br{ByteSpan(buf), "TESTSTAGE"};
     br.GetBytes(2);
     try {

@@ -27,6 +27,17 @@
 #                    checksums) and the whole suite hold without vector
 #                    kernels at runtime. Reuses the default build tree —
 #                    dispatch is a runtime decision.
+#   threads-1      — the default build re-tested at OMP_NUM_THREADS=1:
+#                    the threading subset (ctest -L thread, which holds
+#                    the poisoned-destination decode test) plus
+#                    determinism_test, executor_test and corruption_test,
+#                    so every executor path also runs with one worker
+#                    (no chunk ever waits on a predecessor's offset).
+#                    Reuses the default build tree. It skips ctest -L
+#                    bench: the committed baseline is not keyed by thread
+#                    count, so a one-thread run would be compared against
+#                    a figure recorded under another configuration
+#                    (ROADMAP item 1).
 #   simd-off       — -DFPC_SIMD=OFF: the vector translation units are not
 #                    compiled at all (CompiledIsaLevels() == "scalar");
 #                    proves the scalar-only build is complete, not just
@@ -373,6 +384,13 @@ echo "==> [forced-scalar] test (default build, FPC_FORCE_SCALAR=1)"
 FPC_FORCE_SCALAR=1 ctest --test-dir "${out}/default" \
     --output-on-failure -j "${jobs}"
 
+echo "==> [threads-1] test (default build, OMP_NUM_THREADS=1)"
+OMP_NUM_THREADS=1 ctest --test-dir "${out}/default" -L thread \
+    --output-on-failure -j "${jobs}"
+OMP_NUM_THREADS=1 ctest --test-dir "${out}/default" \
+    -R '^(determinism_test|executor_test|corruption_test)$' \
+    --output-on-failure -j "${jobs}"
+
 run_config simd-off -DFPC_WERROR=ON -DFPC_SIMD=OFF
 ctest --test-dir "${out}/simd-off" --output-on-failure -j "${jobs}"
 
@@ -388,5 +406,5 @@ run_config tsan -DFPC_TSAN=ON -DFPC_BUILD_BENCH=OFF \
     -DFPC_BUILD_EXAMPLES=OFF
 ctest --test-dir "${out}/tsan" -L thread --output-on-failure -j "${jobs}"
 
-echo "==> matrix OK (default, forced-scalar, simd-off, telemetry-off," \
-    "sanitize, tsan)"
+echo "==> matrix OK (default, forced-scalar, threads-1, simd-off," \
+    "telemetry-off, sanitize, tsan)"

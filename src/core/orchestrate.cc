@@ -157,9 +157,19 @@ EncodePlan::Finish(Algorithm algorithm, size_t original_size,
     WriteContainerPrefix(header, sizes_, raw_flags_, algorithm_ids_, prefix);
     FPC_CHECK(prefix.size() == prefix_size_, "container prefix size mismatch");
     std::memcpy(out_.data(), prefix.data(), prefix_size_);
-    out_.resize(prefix_size_ + std::accumulate(sizes_.begin(), sizes_.end(),
-                                               uint64_t{0}));
-    return std::move(out_);
+    const size_t size = prefix_size_ + std::accumulate(sizes_.begin(),
+                                                       sizes_.end(),
+                                                       uint64_t{0});
+    if (out_.capacity() >= kLargeBuffer) {
+        // Its own mapping: the untouched slack is never backed.
+        out_.resize(size);
+        return std::move(out_);
+    }
+    // A heap block may reuse backed pages, so its slack would stay
+    // resident for as long as the caller holds the container.
+    Bytes exact(size);
+    std::memcpy(exact.data(), out_.data(), size);
+    return exact;
 }
 
 void

@@ -14,7 +14,9 @@
 #include <algorithm>
 
 #include "core/codec.h"
+#include "core/container.h"
 #include "core/executor.h"
+#include "core/orchestrate.h"
 #include "core/stream.h"
 #include "util/hash.h"
 
@@ -200,6 +202,58 @@ TEST(ExecutorGolden, CompressedChecksumsOnEveryBackend)
                 << name << ", alg " << static_cast<int>(g.algorithm)
                 << ", size " << g.size;
         }
+    }
+}
+
+// The chunk placement of both executors, driven from one thread in a
+// fixed out-of-order sequence that takes every parking path: chunks
+// parked behind a missing predecessor (a raw one among them, parked as
+// a pointer into the input), a partial drain that leaves a later entry
+// pointing into the parked bytes, direct placement past published but
+// unresolved predecessors, and chunks still parked when Finish runs.
+// The container must equal a serial encode byte for byte.
+TEST(EncodePlanTest, ParkedChunksPlaceLikeASerialEncode)
+{
+    Bytes input = MakeInput(7 * kChunkSize + 1000, 21);
+    uint64_t noise = 99;
+    for (size_t i = 2 * kChunkSize; i < 3 * kChunkSize; ++i) {
+        noise = noise * 6364136223846793005ull + 1442695040888963407ull;
+        input[i] = static_cast<std::byte>(noise >> 56);
+    }
+    for (Algorithm algorithm : kAlgorithms) {
+        const PipelineSpec& spec = GetPipeline(algorithm);
+        Bytes work;
+        ByteSpan chunk_src = input;
+        if (spec.pre.encode != nullptr) {
+            ScratchArena pre_scratch;
+            chunk_src = EncodePreStage(spec, input, pre_scratch, nullptr,
+                                       work);
+        }
+        std::vector<ScratchArena> arenas(3);
+        EncodePlan plan(chunk_src, /*adaptive=*/false, arenas);
+        const size_t n = plan.ChunkCount();
+        ASSERT_GE(n, 8u);
+        // {chunk, worker}: 1, 2 (raw) and 4 park on worker 1; chunk 5's
+        // drain places 1 and 2 but not 4 (chunk 3 is missing); 3, 6, 7
+        // and any later chunk (DPratio's longer stream) place at once on
+        // workers 0 and 2; 4 and 5 are still parked at Finish.
+        std::vector<std::pair<size_t, size_t>> order = {
+            {1, 1}, {2, 1}, {4, 1}, {0, 0}, {5, 1}, {3, 2}, {6, 0}, {7, 2}};
+        for (size_t c = 8; c < n; ++c) order.emplace_back(c, 2);
+        for (const auto& [c, worker] : order) {
+            plan.EncodeChunkAt(c, worker, spec, &EncodeChunk);
+        }
+        const Bytes out =
+            plan.Finish(algorithm, input.size(), Checksum64(input));
+        Options serial;
+        serial.threads = 1;
+        EXPECT_EQ(out, Compress(algorithm, input, serial))
+            << AlgorithmName(algorithm);
+        const ContainerView view = ParseContainer(out);
+        if (spec.pre.encode == nullptr) {
+            EXPECT_EQ(view.chunk_raw[2], 1) << AlgorithmName(algorithm);
+        }
+        EXPECT_EQ(view.chunk_raw[1], 0) << AlgorithmName(algorithm);
     }
 }
 
